@@ -8,29 +8,28 @@ a minimum-cost k-unit flow yields the optimal selection exactly.
 
 from .intervals import (CliqueSequence, GraphStats, compute_stats,
                         connected_components, enumerate_maximal_cliques,
-                        overlaps, vertex_span)
+                        overlaps)
 from .oracle import (CheckReport, InstanceTooLarge, OracleResult,
                      brute_force_mwkc, verify_solution)
 from .schedule import (IntervalInstance, ProgrammeSlot, ScheduleError,
                        ScheduleSet, TimePoint, ValidationIssue, Vertex,
                        parse_schedule, serialize_schedule, to_intervals,
                        validate_schedule)
-from .solver import (Arc, EmptyInstance, FlowNetwork, InternalInvariantViolation,
-                     KcolourSolution, KFlowResult, TransformedNetwork,
-                     build_network, compute_pi, extract_solution,
+from .solver import (EmptyInstance, FlowNetwork, InternalInvariantViolation,
+                     KcolourSolution, build_network, compute_pi, extract_solution,
                      solve_min_cost_k_flow, solve_mwkc, transform_weights)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Arc", "CheckReport", "CliqueSequence", "EmptyInstance", "FlowNetwork",
+    "CheckReport", "CliqueSequence", "EmptyInstance", "FlowNetwork",
     "GraphStats", "InstanceTooLarge", "InternalInvariantViolation",
-    "IntervalInstance", "KFlowResult", "KcolourSolution", "OracleResult",
+    "IntervalInstance", "KcolourSolution", "OracleResult",
     "ProgrammeSlot", "ScheduleError", "ScheduleSet", "TimePoint",
-    "TransformedNetwork", "ValidationIssue", "Vertex", "brute_force_mwkc",
+    "ValidationIssue", "Vertex", "brute_force_mwkc",
     "build_network", "compute_pi", "compute_stats", "connected_components",
     "enumerate_maximal_cliques", "extract_solution", "overlaps",
     "parse_schedule", "serialize_schedule", "solve_min_cost_k_flow",
     "solve_mwkc", "to_intervals", "transform_weights", "validate_schedule",
-    "verify_solution", "vertex_span",
+    "verify_solution",
 ]

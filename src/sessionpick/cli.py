@@ -12,9 +12,9 @@ import json
 import sys
 from pathlib import Path
 
-from .intervals import compute_stats, enumerate_maximal_cliques
+from .intervals import enumerate_maximal_cliques
 from .oracle import InstanceTooLarge, brute_force_mwkc, verify_solution
-from .schedule import (IntervalInstance, ScheduleError, ScheduleSet, TimePoint,
+from .schedule import (IntervalInstance, ScheduleError, ScheduleSet,
                        parse_schedule, to_intervals, validate_schedule)
 from .solver import (EmptyInstance, KcolourSolution, build_network, compute_pi,
                      solve_mwkc, transform_weights)
@@ -67,10 +67,14 @@ def _checked_instance(args: argparse.Namespace) -> tuple[ScheduleSet, IntervalIn
     return schedule, inst
 
 
-def _emit(payload: dict, args: argparse.Namespace) -> None:
-    text = json.dumps(payload, indent=2) + "\n"
+def _emit(payload: dict | str, args: argparse.Namespace) -> None:
+    """Write a JSON payload, or text as it is, to --output or stdout."""
+    text = payload if isinstance(payload, str) else json.dumps(payload, indent=2) + "\n"
     if getattr(args, "output", None):
-        Path(args.output).write_text(text)
+        try:
+            Path(args.output).write_text(text)
+        except OSError as exc:
+            raise _fail(f"cannot write {args.output}: {exc}", EXIT_USAGE) from None
     else:
         sys.stdout.write(text)
 
@@ -99,7 +103,7 @@ def _cmd_cliques(args: argparse.Namespace) -> int:
             {"index": i, "members": list(members), "leading_point": lp}
             for i, (members, lp) in enumerate(zip(cs.cliques, cs.leading_points), start=1)
         ],
-        "spans": {str(vid): list(span) for vid, span in sorted(cs.spans.items())},
+        "spans": {str(vid): list(span) for vid, span in enumerate(cs.spans)},
     }
     _emit(payload, args)
     return EXIT_OK
@@ -112,35 +116,31 @@ def _cmd_network(args: argparse.Namespace) -> int:
     cs = enumerate_maximal_cliques(inst)
     net = build_network(cs, inst, args.k)
     pi = compute_pi(net)
-    tn = transform_weights(net, pi)
+    weight_u = transform_weights(net, pi)
+    # c-arcs are ids 0..r-1 with capacity k; arc r + v is vertex v's i-arc
+    arcs = [(a, tail, head, a < net.r, w, wu, net.k if a < net.r else 1)
+            for a, ((tail, head, w), wu) in enumerate(zip(net.arcs, weight_u))]
     if args.dump == "dot":
         lines = ["digraph network {", "  rankdir=LR;"]
-        for node in range(net.node_count):
-            lines.append(f"  C{node};")
-        for arc, wu in zip(net.arcs, tn.weight_U):
-            style = ", style=dashed" if arc.kind == "c_arc" else ""
-            lines.append(
-                f'  C{arc.tail} -> C{arc.head} '
-                f'[label="w={arc.weight_N}/wU={wu}/cap={arc.capacity}"{style}];')
+        lines += [f"  C{node};" for node in range(net.node_count)]
+        for _, tail, head, c_arc, w, wu, cap in arcs:
+            style = ", style=dashed" if c_arc else ""
+            lines.append(f'  C{tail} -> C{head} [label="w={w}/wU={wu}/cap={cap}"{style}];')
         lines.append("}")
-        text = "\n".join(lines) + "\n"
-        if getattr(args, "output", None):
-            Path(args.output).write_text(text)
-        else:
-            sys.stdout.write(text)
+        _emit("\n".join(lines) + "\n", args)
     else:
-        payload = {
+        _emit({
             "node_count": net.node_count,
             "k": args.k,
-            "pi": list(pi),
+            "pi": pi,
             "arcs": [
-                {"arc_id": a.arc_id, "tail": a.tail, "head": a.head, "kind": a.kind,
-                 "vertex": a.vertex, "weight_N": a.weight_N, "weight_U": wu,
-                 "capacity": a.capacity}
-                for a, wu in zip(net.arcs, tn.weight_U)
+                {"arc_id": a, "tail": tail, "head": head,
+                 "kind": "c_arc" if c_arc else "i_arc",
+                 "vertex": None if c_arc else a - net.r,
+                 "weight_N": w, "weight_U": wu, "capacity": cap}
+                for a, tail, head, c_arc, w, wu, cap in arcs
             ],
-        }
-        _emit(payload, args)
+        }, args)
     return EXIT_OK
 
 
@@ -201,28 +201,46 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _all_objects(value: object) -> bool:
+    return isinstance(value, list) and all(isinstance(item, dict) for item in value)
+
+
 def _cmd_check(args: argparse.Namespace) -> int:
     schedule, inst = _checked_instance(args)
     try:
         data = json.loads(Path(args.solution).read_text())
     except OSError as exc:
         raise _fail(f"cannot read {args.solution}: {exc}", EXIT_USAGE) from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not UTF-8, or not JSON
         raise _fail(f"{args.solution}: invalid JSON: {exc}", EXIT_DATA) from None
     if not isinstance(data, dict) or "sessions" not in data:
         raise _fail(f"{args.solution}: not a solution file", EXIT_DATA)
-    k = args.k if args.k is not None else int(data.get("k", len(data["sessions"])))
+    sessions = data["sessions"]
+    if not _all_objects(sessions):
+        raise _fail(f"{args.solution}: sessions must be a list of objects", EXIT_DATA)
+    k = args.k if args.k is not None else data.get("k", len(sessions))
+    total_weight = data.get("total_weight", 0)
+    for name, value in (("k", k), ("total_weight", total_weight)):
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise _fail(f"{args.solution}: {name} must be an integer", EXIT_DATA)
 
     assert inst.provenance is not None
     vid_by_slot = {slot_id: vid for vid, slot_id in inst.provenance.items()}
     extra: list[str] = []
     classes: list[tuple[int, ...]] = []
-    for si, session in enumerate(data["sessions"], start=1):
+    for si, session in enumerate(sessions, start=1):
         members = []
         claimed = session.get("weight")
         actual = 0
-        for slot in session.get("slots", []):
+        slots = session.get("slots", [])
+        if not _all_objects(slots):
+            raise _fail(f"{args.solution}: session {si}: slots must be a list of objects",
+                        EXIT_DATA)
+        for slot in slots:
             slot_id = slot.get("slot_id")
+            if slot_id is not None and not isinstance(slot_id, str):
+                raise _fail(f"{args.solution}: session {si}: slot_id must be a string",
+                            EXIT_DATA)
             if slot_id not in vid_by_slot:
                 extra.append(f"session {si}: unknown slot id {slot_id!r}")
                 continue
@@ -235,7 +253,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
         k=k,
         Q=frozenset(v for members in classes for v in members),
         classes=tuple(classes),
-        total_weight=int(data.get("total_weight", 0)),
+        total_weight=total_weight,
     )
     report = verify_solution(sol, inst, k)
     violations = extra + list(report.violations)

@@ -27,26 +27,32 @@ def overlaps(a: Vertex, b: Vertex) -> bool:
 class CliqueSequence:
     """Maximal cliques C_1..C_r ordered by leading point.
 
-    cliques[i] holds sorted vertex ids (0-based list index, 1-based clique
-    numbering everywhere else). leading_points[i] is the largest member
-    start, the leftmost coordinate where all members coexist. spans maps a
-    vertex to its 1-based (p, q) run of clique indices.
+    leading_points[i] is the largest member start of C_{i+1}, the leftmost
+    coordinate where all its members coexist. spans[v] is vertex v's 1-based
+    (p, q) run of clique indices; the runs alone fix every clique.
     """
 
-    cliques: tuple[tuple[int, ...], ...]
     leading_points: tuple[int, ...]
-    spans: dict[int, tuple[int, int]]
+    spans: tuple[tuple[int, int], ...]  # indexed by vertex id
 
     @property
     def r(self) -> int:
-        return len(self.cliques)
+        return len(self.leading_points)
+
+    @property
+    def cliques(self) -> tuple[tuple[int, ...], ...]:
+        """Sorted member ids of each clique, rebuilt from the spans."""
+        members: list[list[int]] = [[] for _ in self.leading_points]
+        for vid, (p, q) in enumerate(self.spans):
+            for i in range(p - 1, q):
+                members[i].append(vid)
+        return tuple(tuple(m) for m in members)
 
 
 @dataclass(frozen=True)
 class GraphStats:
     n: int
     m: int
-    M: int
     omega: int
     components: tuple[tuple[int, ...], ...]
 
@@ -61,47 +67,31 @@ def _events(vertices: tuple[Vertex, ...]) -> list[tuple[int, int, int]]:
 
 
 def enumerate_maximal_cliques(inst: IntervalInstance) -> CliqueSequence:
-    """Sweep the endpoints once, emitting a clique at every first finish
+    """Sweep the endpoints once, recording a clique at every first finish
     after at least one start.
 
     At such a finish with coordinate t, the active set is exactly
     {u : s_u < t <= f_u}, which is a maximal clique; the trigger
     coordinates strictly increase, which yields both the clique order and,
-    via two bisects per vertex, the contiguous membership spans.
+    via two bisects per vertex, the contiguous membership spans. Only
+    coordinates are swept: a finish at t sees the starts below t, since
+    touching intervals do not overlap.
     """
-    if inst.n == 0:
-        return CliqueSequence((), (), {})
-    active: set[int] = set()
-    pending = False
-    last_start = 0
-    cliques: list[tuple[int, ...]] = []
+    starts = sorted(v.s for v in inst.vertices)
     leading: list[int] = []
     triggers: list[int] = []
-    for coord, kind, vid in _events(inst.vertices):
-        if kind == _START:
-            active.add(vid)
-            pending = True
-            last_start = coord
-        else:
-            if pending:
-                cliques.append(tuple(sorted(active)))
-                leading.append(last_start)
-                triggers.append(coord)
-                pending = False
-            active.remove(vid)
-    spans: dict[int, tuple[int, int]] = {}
-    for v in inst.vertices:
-        p = bisect.bisect_right(triggers, v.s) + 1  # first trigger > s
-        q = bisect.bisect_right(triggers, v.f)  # last trigger <= f
-        spans[v.vertex_id] = (p, q)
-    return CliqueSequence(tuple(cliques), tuple(leading), spans)
-
-
-def vertex_span(cs: CliqueSequence, u: int) -> tuple[int, int]:
-    try:
-        return cs.spans[u]
-    except KeyError:
-        raise ValueError(f"unknown vertex {u}") from None
+    seen = 0  # starts already behind the sweep
+    for f in sorted(v.f for v in inst.vertices):
+        below = bisect.bisect_left(starts, f, seen)
+        if below > seen:
+            leading.append(starts[below - 1])
+            triggers.append(f)
+            seen = below
+    spans = tuple(
+        (bisect.bisect_right(triggers, v.s) + 1,  # first trigger > s
+         bisect.bisect_right(triggers, v.f))  # last trigger <= f
+        for v in inst.vertices)
+    return CliqueSequence(tuple(leading), spans)
 
 
 def connected_components(inst: IntervalInstance) -> list[list[int]]:
@@ -127,21 +117,21 @@ def connected_components(inst: IntervalInstance) -> list[list[int]]:
     return comps
 
 
-def compute_stats(inst: IntervalInstance, cs: CliqueSequence) -> GraphStats:
+def compute_stats(inst: IntervalInstance) -> GraphStats:
     # m: each start event contributes one edge per interval already active,
-    # counting every overlapping pair exactly once
-    m = 0
-    depth = 0
+    # counting every overlapping pair exactly once; omega is the deepest
+    # point, which for intervals is the largest clique
+    m = omega = depth = 0
     for _, kind, _vid in _events(inst.vertices):
         if kind == _START:
             m += depth
             depth += 1
+            omega = max(omega, depth)
         else:
             depth -= 1
     return GraphStats(
         n=inst.n,
         m=m,
-        M=max((v.w for v in inst.vertices), default=0),
-        omega=max((len(c) for c in cs.cliques), default=0),
+        omega=omega,
         components=tuple(tuple(c) for c in connected_components(inst)),
     )

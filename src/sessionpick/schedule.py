@@ -163,7 +163,7 @@ def parse_schedule(source: bytes | str, fmt: str = "csv") -> ScheduleSet:
     """Parse CSV or JSON schedule data into a ScheduleSet, preserving order."""
     if isinstance(source, bytes):
         try:
-            text = source.decode("utf-8")
+            text = source.decode("utf-8-sig")  # spreadsheet exports lead with a BOM
         except UnicodeDecodeError as exc:
             raise ScheduleError(f"input is not UTF-8: {exc}") from None
     else:

@@ -16,8 +16,8 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 
-from .intervals import CliqueSequence, connected_components, enumerate_maximal_cliques
-from .schedule import IntervalInstance, Vertex
+from .intervals import CliqueSequence, enumerate_maximal_cliques
+from .schedule import IntervalInstance
 
 INF = float("inf")
 
@@ -32,37 +32,20 @@ class InternalInvariantViolation(RuntimeError):
 
 
 @dataclass(frozen=True)
-class Arc:
-    arc_id: int
-    tail: int
-    head: int
-    kind: str  # "c_arc" or "i_arc"
-    vertex: int | None  # the interval an i-arc selects; None for c-arcs
-    weight_N: int
-    capacity: int
-
-
-@dataclass(frozen=True)
 class FlowNetwork:
-    node_count: int  # nodes 0..r; 0 is the source, r the sink
-    arcs: tuple[Arc, ...]
+    """Nodes 0..r over the clique order; 0 is the source, r the sink.
 
+    arcs[a] is (tail, head, weight_N). Arcs 0..r-1 are the c-arcs i -> i+1
+    (capacity k, weight 0); arc r + v is vertex v's i-arc (capacity 1).
+    """
 
-@dataclass(frozen=True)
-class TransformedNetwork:
-    node_count: int
-    arcs: tuple[Arc, ...]
-    pi: tuple[int, ...]
-    weight_U: tuple[int, ...]  # parallel to arcs
+    r: int
+    k: int
+    arcs: tuple[tuple[int, int, int], ...]
 
-
-@dataclass(frozen=True)
-class KFlowResult:
-    flow: tuple[int, ...]  # per arc_id
-    paths: tuple[tuple[int, ...], ...]  # k node sequences, source to sink
-    path_arcs: tuple[tuple[int, ...], ...]  # the same paths as arc ids
-    cost_U: int
-    weight_N_total: int
+    @property
+    def node_count(self) -> int:
+        return self.r + 1
 
 
 @dataclass(frozen=True)
@@ -74,20 +57,16 @@ class KcolourSolution:
 
 
 def build_network(cs: CliqueSequence, inst: IntervalInstance, k: int) -> FlowNetwork:
-    """Nodes 0..r over the clique order; c-arcs first, then one i-arc per
-    vertex in vertex-id order, so arc ids are reproducible."""
+    """c-arcs first, then one i-arc per vertex in vertex-id order, so arc
+    ids are reproducible."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     r = cs.r
     if r == 0:
         raise EmptyInstance("no intervals, nothing to schedule")
-    arcs: list[Arc] = []
-    for i in range(r):
-        arcs.append(Arc(i, i, i + 1, "c_arc", None, 0, k))
-    for v in inst.vertices:
-        p, q = cs.spans[v.vertex_id]
-        arcs.append(Arc(r + v.vertex_id, p - 1, q, "i_arc", v.vertex_id, v.w, 1))
-    return FlowNetwork(r + 1, tuple(arcs))
+    arcs = [(i, i + 1, 0) for i in range(r)]
+    arcs += [(p - 1, q, v.w) for (p, q), v in zip(cs.spans, inst.vertices)]
+    return FlowNetwork(r, k, tuple(arcs))
 
 
 def compute_pi(net: FlowNetwork) -> list[int]:
@@ -96,16 +75,16 @@ def compute_pi(net: FlowNetwork) -> list[int]:
     Node numbering is already a topological order (every arc goes forward),
     so one reverse pass suffices.
     """
-    by_tail: list[list[Arc]] = [[] for _ in range(net.node_count)]
-    for arc in net.arcs:
-        by_tail[arc.tail].append(arc)
+    by_tail: list[list[tuple[int, int]]] = [[] for _ in range(net.node_count)]
+    for tail, head, w in net.arcs:
+        by_tail[tail].append((head, w))
     pi = [0] * net.node_count
-    for i in range(net.node_count - 2, -1, -1):
-        pi[i] = max(arc.weight_N + pi[arc.head] for arc in by_tail[i])
+    for i in range(net.r - 1, -1, -1):
+        pi[i] = max(w + pi[head] for head, w in by_tail[i])
     return pi
 
 
-def transform_weights(net: FlowNetwork, pi: list[int]) -> TransformedNetwork:
+def transform_weights(net: FlowNetwork, pi: list[int]) -> list[int]:
     """Re-express arc weights as weight_U = pi[tail] - pi[head] - weight_N.
 
     Along any source-to-sink path the pi terms telescope, so path weight in
@@ -113,41 +92,17 @@ def transform_weights(net: FlowNetwork, pi: list[int]) -> TransformedNetwork:
     transformed cost of a k-flow therefore maximizes the selected weight.
     Every weight_U is non-negative by definition of pi and at most pi[0].
     """
-    weight_u: list[int] = []
-    for arc in net.arcs:
-        wu = pi[arc.tail] - pi[arc.head] - arc.weight_N
+    weight_u = [pi[tail] - pi[head] - w for tail, head, w in net.arcs]
+    for a, wu in enumerate(weight_u):
         if wu < 0 or wu > pi[0]:
             raise InternalInvariantViolation(
-                f"arc {arc.arc_id}: transformed weight {wu} outside [0, {pi[0]}]")
-        weight_u.append(wu)
-    return TransformedNetwork(net.node_count, net.arcs, tuple(pi), tuple(weight_u))
+                f"arc {a}: transformed weight {wu} outside [0, {pi[0]}]")
+    return weight_u
 
 
-def _bellman_ford_residual(tn: TransformedNetwork, flow: list[int]) -> list[float]:
-    # label-correcting pass over true residual costs, only used to
-    # cross-check the potential-based search
-    nodes = tn.node_count
-    dist: list[float] = [INF] * nodes
-    dist[0] = 0
-    edges: list[tuple[int, int, int]] = []
-    for arc, wu in zip(tn.arcs, tn.weight_U):
-        if flow[arc.arc_id] < arc.capacity:
-            edges.append((arc.tail, arc.head, wu))
-        if flow[arc.arc_id] > 0:
-            edges.append((arc.head, arc.tail, -wu))
-    for _ in range(nodes - 1):
-        changed = False
-        for u, v, c in edges:
-            if dist[u] + c < dist[v]:
-                dist[v] = dist[u] + c
-                changed = True
-        if not changed:
-            break
-    return dist
-
-
-def solve_min_cost_k_flow(tn: TransformedNetwork, k: int, validate: bool = False) -> KFlowResult:
-    """Route exactly k units from source to sink at minimum transformed cost.
+def solve_min_cost_k_flow(net: FlowNetwork, weight_u: list[int], k: int) -> list[int]:
+    """Route k units from source to sink at minimum transformed cost and
+    return the flow on each arc.
 
     Successive shortest paths with node potentials: k rounds of Dijkstra on
     reduced costs, one unit augmented per round. Initial potentials of zero
@@ -156,158 +111,123 @@ def solve_min_cost_k_flow(tn: TransformedNetwork, k: int, validate: bool = False
     number of finished rounds, which is below the capacity k), so the sink
     is always reached and feasibility never fails on a well-formed network.
 
-    With validate=True each round is recomputed by label-correcting search
-    over the true residual costs and the two path costs are compared.
+    The residual graph lives in parallel lists: arc a is edge 2a forward and
+    edge 2a+1 backward, and pushing a unit along edge e moves one unit of
+    residual capacity from e to e ^ 1.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    nodes = tn.node_count
-    sink = nodes - 1
-    arcs = tn.arcs
-    wu = tn.weight_U
-    flow = [0] * len(arcs)
-    adj: list[list[tuple[int, bool]]] = [[] for _ in range(nodes)]
-    for arc in arcs:
-        adj[arc.tail].append((arc.arc_id, True))
-        adj[arc.head].append((arc.arc_id, False))
+    nodes = net.node_count
+    sink = net.r
+    to: list[int] = []
+    cost: list[int] = []
+    residual: list[int] = []
+    adj: list[list[int]] = [[] for _ in range(nodes)]
+    for a, ((tail, head, _), wu) in enumerate(zip(net.arcs, weight_u)):
+        to += (head, tail)
+        cost += (wu, -wu)
+        residual += (net.k if a < net.r else 1, 0)
+        adj[tail].append(2 * a)
+        adj[head].append(2 * a + 1)
     phi = [0] * nodes
 
     for _ in range(k):
         dist: list[float] = [INF] * nodes
         dist[0] = 0
-        parent: list[tuple[int, bool] | None] = [None] * nodes
+        parent = [-1] * nodes
         heap: list[tuple[float, int]] = [(0, 0)]
         while heap:
             d, u = heapq.heappop(heap)
             if d > dist[u]:
                 continue
-            for aid, forward in adj[u]:
-                arc = arcs[aid]
-                if forward:
-                    if flow[aid] >= arc.capacity:
-                        continue
-                    v, cost = arc.head, wu[aid]
-                else:
-                    if flow[aid] <= 0:
-                        continue
-                    v, cost = arc.tail, -wu[aid]
-                nd = d + cost + phi[u] - phi[v]
-                if nd < dist[v]:
-                    dist[v] = nd
-                    parent[v] = (aid, forward)
-                    heapq.heappush(heap, (nd, v))
+            base = d + phi[u]
+            for e in adj[u]:
+                if residual[e]:
+                    v = to[e]
+                    nd = base + cost[e] - phi[v]
+                    if nd < dist[v]:
+                        dist[v] = nd
+                        parent[v] = e
+                        heapq.heappush(heap, (nd, v))
         if dist[sink] == INF:
             raise InternalInvariantViolation("sink unreachable; cannot route k units")
-        if validate:
-            true_cost = dist[sink] + phi[sink]  # phi[source] stays 0
-            bf = _bellman_ford_residual(tn, flow)
-            if bf[sink] != true_cost:
-                raise InternalInvariantViolation(
-                    f"potential-based path cost {true_cost} disagrees with "
-                    f"label-correcting cost {bf[sink]}")
         for v in range(nodes):
             if dist[v] == INF:
                 raise InternalInvariantViolation(f"node {v} unreachable during augmentation")
             phi[v] += int(dist[v])
         u = sink
         while u != 0:
-            aid, forward = parent[u]  # type: ignore[misc]
-            if forward:
-                flow[aid] += 1
-                u = arcs[aid].tail
-            else:
-                flow[aid] -= 1
-                u = arcs[aid].head
-
-    cost_u = sum(w * f for w, f in zip(wu, flow))
-    weight_n_total = sum(arc.weight_N * flow[arc.arc_id] for arc in arcs)
-
-    # decompose into k source-to-sink walks; a c-arc carrying f units simply
-    # gets walked f times
-    out_arcs: list[list[int]] = [[] for _ in range(nodes)]
-    for arc in arcs:  # already in arc_id order
-        out_arcs[arc.tail].append(arc.arc_id)
-    remaining = flow[:]
-    paths: list[tuple[int, ...]] = []
-    path_arcs: list[tuple[int, ...]] = []
-    for _ in range(k):
-        u = 0
-        node_seq = [0]
-        arc_seq: list[int] = []
-        while u != sink:
-            aid = next((a for a in out_arcs[u] if remaining[a] > 0), None)
-            if aid is None:
-                raise InternalInvariantViolation(f"flow conservation broken at node {u}")
-            remaining[aid] -= 1
-            arc_seq.append(aid)
-            u = arcs[aid].head
-            node_seq.append(u)
-        paths.append(tuple(node_seq))
-        path_arcs.append(tuple(arc_seq))
-    if any(remaining):
-        raise InternalInvariantViolation("flow not fully decomposed by k paths")
-    return KFlowResult(tuple(flow), tuple(paths), tuple(path_arcs), cost_u, weight_n_total)
+            e = parent[u]
+            residual[e] -= 1
+            residual[e ^ 1] += 1
+            u = to[e ^ 1]
+    return residual[1::2]
 
 
-def extract_solution(fr: KFlowResult, net: FlowNetwork, inst: IntervalInstance) -> KcolourSolution:
-    """Read the sessions off the flow: the i-arcs of each path form one
-    colour class, sorted by start time; classes come out heaviest first."""
-    vertex_by_id = {v.vertex_id: v for v in inst.vertices}
-    arc_by_id = {arc.arc_id: arc for arc in net.arcs}
+def extract_solution(flow: list[int], net: FlowNetwork,
+                     inst: IntervalInstance) -> KcolourSolution:
+    """Decompose the flow into k source-to-sink paths and read the sessions
+    off them: the i-arcs of each path form one colour class, sorted by start
+    time; classes come out heaviest first. A c-arc carrying f units simply
+    gets walked f times."""
+    r = net.r
+    out_arcs: list[list[int]] = [[] for _ in range(net.node_count)]
+    for a, (tail, _, _) in enumerate(net.arcs):
+        out_arcs[tail].append(a)
+    remaining = list(flow)
+    vertices = inst.vertices
     classes: list[tuple[int, ...]] = []
     seen: set[int] = set()
-    for arc_seq in fr.path_arcs:
-        members = [arc_by_id[aid].vertex for aid in arc_seq if arc_by_id[aid].kind == "i_arc"]
+    for _ in range(net.k):
+        u = 0
+        members: list[int] = []
+        while u != r:
+            arc = next((a for a in out_arcs[u] if remaining[a] > 0), None)
+            if arc is None:
+                raise InternalInvariantViolation(f"flow conservation broken at node {u}")
+            remaining[arc] -= 1
+            if arc >= r:
+                members.append(arc - r)
+            u = net.arcs[arc][1]
         for vid in members:
             if vid in seen:
                 raise InternalInvariantViolation(f"vertex {vid} selected twice")
             seen.add(vid)
-        ordered = sorted(members, key=lambda vid: (vertex_by_id[vid].s, vertex_by_id[vid].f))
+        ordered = sorted(members, key=lambda vid: (vertices[vid].s, vertices[vid].f))
         for a, b in zip(ordered, ordered[1:]):
             # i-arcs along one path cannot overlap: the earlier arc's head is
             # at or before the later arc's tail, so their clique runs are
             # disjoint and so are the intervals
-            if vertex_by_id[b].s < vertex_by_id[a].f:
+            if vertices[b].s < vertices[a].f:
                 raise InternalInvariantViolation(
                     f"vertices {a} and {b} overlap inside one class")
         classes.append(tuple(ordered))
-    q = frozenset(seen)
-    total = sum(vertex_by_id[vid].w for vid in q)
+    if any(remaining):
+        raise InternalInvariantViolation("flow not fully decomposed by k paths")
+    total = sum(vertices[vid].w for vid in seen)
 
     def class_key(members: tuple[int, ...]) -> tuple[int, int, tuple[int, ...]]:
-        weight = sum(vertex_by_id[vid].w for vid in members)
-        first = vertex_by_id[members[0]].s if members else 1 << 60
+        weight = sum(vertices[vid].w for vid in members)
+        first = vertices[members[0]].s if members else 1 << 60
         return (-weight, first, members)
 
     classes.sort(key=class_key)
-    return KcolourSolution(len(fr.path_arcs), q, tuple(classes), total)
+    return KcolourSolution(net.k, frozenset(seen), tuple(classes), total)
 
 
-def solve_mwkc(inst: IntervalInstance, k: int, validate: bool = False,
-               cross_check_components: bool = False) -> KcolourSolution:
+def solve_mwkc(inst: IntervalInstance, k: int) -> KcolourSolution:
     """Full pipeline: cliques, network, pi, transform, k-flow, extraction."""
     if inst.n == 0:
         raise EmptyInstance("no intervals, nothing to schedule")
     cs = enumerate_maximal_cliques(inst)
     net = build_network(cs, inst, k)
     pi = compute_pi(net)
-    tn = transform_weights(net, pi)
-    fr = solve_min_cost_k_flow(tn, k, validate=validate)
-    sol = extract_solution(fr, net, inst)
-    if sol.total_weight != k * pi[0] - fr.cost_U:
+    weight_u = transform_weights(net, pi)
+    flow = solve_min_cost_k_flow(net, weight_u, k)
+    sol = extract_solution(flow, net, inst)
+    cost_u = sum(wu * f for wu, f in zip(weight_u, flow))
+    if sol.total_weight != k * pi[0] - cost_u:
         raise InternalInvariantViolation(
             f"selected weight {sol.total_weight} != k*pi[0] - cost "
-            f"({k}*{pi[0]} - {fr.cost_U})")
-    if cross_check_components:
-        # the single global network already bridges components with c-arcs;
-        # solving per component must give the same total
-        per_component = 0
-        for comp in connected_components(inst):
-            sub = IntervalInstance(tuple(
-                Vertex(i, inst.vertices[vid].s, inst.vertices[vid].f, inst.vertices[vid].w)
-                for i, vid in enumerate(comp)))
-            per_component += solve_mwkc(sub, k, validate=validate).total_weight
-        if per_component != sol.total_weight:
-            raise InternalInvariantViolation(
-                f"per-component total {per_component} != global total {sol.total_weight}")
+            f"({k}*{pi[0]} - {cost_u})")
     return sol

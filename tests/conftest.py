@@ -9,7 +9,9 @@ from pathlib import Path
 
 import pytest
 
-from sessionpick import IntervalInstance, Vertex
+from sessionpick import (IntervalInstance, Vertex, build_network, compute_pi,
+                         connected_components, enumerate_maximal_cliques,
+                         solve_min_cost_k_flow, solve_mwkc, transform_weights)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -34,6 +36,8 @@ DEMO10_PI = [20, 15, 13, 7, 7, 3, 0]
 DEMO10_WEIGHT_U = (5, 2, 6, 0, 4, 3, 0, 4, 0, 6, 0, 0, 6, 5, 2, 0)
 DEMO10_SPANS = {0: (1, 1), 1: (1, 2), 2: (3, 3), 3: (2, 3), 4: (2, 4),
                 5: (5, 5), 6: (4, 6), 7: (5, 6), 8: (5, 6), 9: (6, 6)}
+# the min-cost 2-flow, arc_id order
+DEMO10_FLOW_K2 = [0, 0, 0, 1, 0, 0, 1, 1, 1, 0, 1, 1, 0, 0, 1, 1]
 
 
 @pytest.fixture
@@ -107,3 +111,66 @@ def max_depth(inst: IntervalInstance, selected=None) -> int:
         depth += delta
         best = max(best, depth)
     return best
+
+
+def flow_cost(costs, flow) -> int:
+    return sum(c * f for c, f in zip(costs, flow))
+
+
+def residual_bellman_ford(net, weight_u, flow) -> list[float]:
+    """Source distances over the true residual costs of `flow`, by label
+    correction; no potentials, so it checks the solver's Dijkstra rounds."""
+    dist = [float("inf")] * net.node_count
+    dist[0] = 0
+    edges = []
+    for a, ((tail, head, _), wu, f) in enumerate(zip(net.arcs, weight_u, flow)):
+        if f < (net.k if a < net.r else 1):
+            edges.append((tail, head, wu))
+        if f > 0:
+            edges.append((head, tail, -wu))
+    for _ in range(net.node_count - 1):
+        changed = False
+        for u, v, c in edges:
+            if dist[u] + c < dist[v]:
+                dist[v] = dist[u] + c
+                changed = True
+        if not changed:
+            break
+    return dist
+
+
+def check_flow_rounds(net, weight_u, k) -> list[int]:
+    """Run the solver for 1..k rounds; each round must add exactly the
+    Bellman-Ford shortest path cost of the residual graph it started from.
+    Returns the k-round flow."""
+    prev = [0] * len(net.arcs)
+    for j in range(1, k + 1):
+        flow = solve_min_cost_k_flow(net, weight_u, j)
+        step = flow_cost(weight_u, flow) - flow_cost(weight_u, prev)
+        assert step == residual_bellman_ford(net, weight_u, prev)[net.r], f"round {j}"
+        prev = flow
+    return prev
+
+
+def solve_checked(inst: IntervalInstance, k: int):
+    """solve_mwkc, with every flow round of the same network checked
+    against Bellman-Ford."""
+    sol = solve_mwkc(inst, k)
+    net = build_network(enumerate_maximal_cliques(inst), inst, k)
+    weight_u = transform_weights(net, compute_pi(net))
+    assert flow_cost([w for _, _, w in net.arcs], check_flow_rounds(net, weight_u, k)) \
+        == sol.total_weight
+    return sol
+
+
+def per_component_total(inst: IntervalInstance, k: int) -> int:
+    """Sum of checked solves of each connected component on its own; the
+    global network bridges components with c-arcs, so it must match the
+    global total."""
+    total = 0
+    for comp in connected_components(inst):
+        sub = IntervalInstance(tuple(
+            Vertex(i, inst.vertices[vid].s, inst.vertices[vid].f, inst.vertices[vid].w)
+            for i, vid in enumerate(comp)))
+        total += solve_checked(sub, k).total_weight
+    return total

@@ -1,0 +1,22 @@
+"""The benchmark in bench/ wraps solver stages by name and reads fields of
+their results; a short run of each worker mode keeps that contract honest."""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+WORKER = Path(__file__).resolve().parent.parent / "bench" / "worker.py"
+
+
+@pytest.mark.parametrize("mode", ["run", "trace"])
+def test_bench_worker_runs_clean(mode):
+    proc = subprocess.run(
+        [sys.executable, str(WORKER), mode, "tiny-batch", "0", "0.5"],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    record = json.loads(proc.stdout.splitlines()[-1])
+    assert record["attempted"] > 0
+    assert record["failed"] == 0, record["failures"]

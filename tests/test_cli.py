@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +11,7 @@ from conftest import FIXTURES
 
 DEMO = str(FIXTURES / "demo10.csv")
 THREE = str(FIXTURES / "three_channels.csv")
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def run_cli(capsys, *argv):
@@ -240,3 +242,70 @@ def test_module_entry_point():
         capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["total_weight"] == 20
+
+
+@pytest.mark.parametrize("golden,argv", [
+    ("solve_demo10_k1.json", ["solve", "--input", DEMO, "--k", "1"]),
+    ("solve_demo10_k2.json", ["solve", "--input", DEMO, "--k", "2"]),
+    ("solve_three_channels_k1.json", ["solve", "--input", THREE, "--k", "1"]),
+    ("solve_three_channels_k2.json", ["solve", "--input", THREE, "--k", "2"]),
+    ("solve_three_channels_k3.json", ["solve", "--input", THREE, "--k", "3"]),
+    ("network_demo10_k2.json", ["network", "--input", DEMO, "--k", "2", "--dump", "json"]),
+    ("network_demo10_k2.dot", ["network", "--input", DEMO, "--k", "2", "--dump", "dot"]),
+    ("cliques_demo10.json", ["cliques", "--input", DEMO]),
+])
+def test_output_matches_golden(capsys, golden, argv):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert out == (GOLDEN / golden).read_text()
+
+
+@pytest.mark.parametrize("field,value", [
+    ("k", "x"),
+    ("sessions", "not a list"),
+    ("sessions", [1]),
+    ("sessions", [{"slots": "nope"}]),
+    ("sessions", [{"slots": [{"slot_id": ["I1"]}]}]),
+    ("total_weight", "abc"),
+], ids=["k-string", "sessions-string", "session-number", "slots-string", "slot_id-list",
+        "total_weight-string"])
+def test_check_malformed_solution_is_one_error_line(tmp_path, capsys, field, value):
+    solution = tmp_path / "sol.json"
+    run_cli(capsys, "solve", "--input", DEMO, "--k", "2", "--output", str(solution))
+    data = json.loads(solution.read_text())
+    data[field] = value
+    solution.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, "check", "--input", DEMO, str(solution))
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_check_non_utf8_solution_is_one_error_line(tmp_path, capsys):
+    solution = tmp_path / "sol.json"
+    solution.write_bytes(b'\xff\xfe{"sessions": []}')
+    code, out, err = run_cli(capsys, "check", "--input", DEMO, str(solution))
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--input", DEMO, "--k", "2"],
+    ["network", "--input", DEMO, "--k", "2", "--dump", "dot"],
+], ids=["solve", "network-dot"])
+def test_output_into_missing_directory_is_usage_error(tmp_path, capsys, argv):
+    target = tmp_path / "no" / "such" / "dir" / "out"
+    code, out, err = run_cli(capsys, *argv, "--output", str(target))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot write {target}")
+    assert not target.exists()
+
+
+def test_csv_with_byte_order_mark_solves_like_plain(tmp_path, capsys):
+    bom = tmp_path / "demo10_bom.csv"
+    bom.write_bytes(b"\xef\xbb\xbf" + (FIXTURES / "demo10.csv").read_bytes())
+    code, out, _ = run_cli(capsys, "solve", "--input", str(bom), "--k", "2")
+    assert code == 0
+    assert out == (GOLDEN / "solve_demo10_k2.json").read_text()

@@ -10,7 +10,6 @@ from sessionpick import (
     overlaps,
     parse_schedule,
     to_intervals,
-    vertex_span,
 )
 
 from conftest import (
@@ -43,18 +42,10 @@ def test_demo10_cliques(demo10):
     cs = enumerate_maximal_cliques(demo10)
     assert cs.cliques == DEMO10_CLIQUES
     assert cs.r == 6
-    assert dict(cs.spans) == DEMO10_SPANS
-    for vid, (p, q) in DEMO10_SPANS.items():
-        assert vertex_span(cs, vid) == (p, q)
+    assert dict(enumerate(cs.spans)) == DEMO10_SPANS
     # each leading point is the last start before its clique stops growing
     assert cs.leading_points == (2, 5, 7, 10, 14, 16)
     assert list(cs.leading_points) == sorted(cs.leading_points)
-
-
-def test_vertex_span_unknown(demo10):
-    cs = enumerate_maximal_cliques(demo10)
-    with pytest.raises(ValueError):
-        vertex_span(cs, 99)
 
 
 def test_single_interval():
@@ -69,8 +60,9 @@ def test_empty_instance():
     inst = make_instance([])
     cs = enumerate_maximal_cliques(inst)
     assert cs.r == 0
-    stats = compute_stats(inst, cs)
-    assert (stats.n, stats.m, stats.M, stats.omega, stats.components) == (0, 0, 0, 0, ())
+    assert cs.cliques == ()
+    stats = compute_stats(inst)
+    assert (stats.n, stats.m, stats.omega, stats.components) == (0, 0, 0, ())
 
 
 def test_two_disjoint_intervals():
@@ -78,22 +70,21 @@ def test_two_disjoint_intervals():
     cs = enumerate_maximal_cliques(inst)
     assert cs.cliques == ((0,), (1,))
     assert connected_components(inst) == [[0], [1]]
-    assert compute_stats(inst, cs).m == 0
+    assert compute_stats(inst).m == 0
 
 
 def test_identical_intervals_form_one_clique():
     inst = make_instance([(1, 4, 2), (1, 4, 3)])
     cs = enumerate_maximal_cliques(inst)
     assert cs.cliques == ((0, 1),)
-    stats = compute_stats(inst, cs)
+    stats = compute_stats(inst)
     assert (stats.m, stats.omega, stats.components) == (1, 2, ((0, 1),))
 
 
 def test_demo10_stats(demo10):
-    stats = compute_stats(demo10, enumerate_maximal_cliques(demo10))
+    stats = compute_stats(demo10)
     assert stats.n == 10
     assert stats.m == 16
-    assert stats.M == 8
     assert stats.omega == 4
     assert len(stats.components) == 1
 
@@ -108,7 +99,7 @@ def test_demo10_components(demo10):
 def test_three_channels_shape(three_channels_csv):
     inst = to_intervals(parse_schedule(three_channels_csv.read_text(), "csv"))
     cs = enumerate_maximal_cliques(inst)
-    stats = compute_stats(inst, cs)
+    stats = compute_stats(inst)
     assert stats.n == 54
     assert cs.r == 28
     assert stats.omega == 3
@@ -127,4 +118,4 @@ def test_cliques_match_subset_enumeration():
             member_of = [i + 1 for i, c in enumerate(cs.cliques) if v.vertex_id in c]
             p, q = cs.spans[v.vertex_id]
             assert member_of == list(range(p, q + 1))
-        assert compute_stats(inst, cs).omega == max_depth(inst)
+        assert compute_stats(inst).omega == max(map(len, cs.cliques)) == max_depth(inst)

@@ -11,13 +11,13 @@ from sessionpick import (
     connected_components,
     enumerate_maximal_cliques,
     overlaps,
-    solve_min_cost_k_flow,
     solve_mwkc,
     transform_weights,
     verify_solution,
 )
 
-from conftest import make_instance, max_depth
+from conftest import (check_flow_rounds, flow_cost, make_instance, max_depth,
+                      per_component_total, solve_checked)
 
 
 @st.composite
@@ -70,7 +70,7 @@ def test_clique_sequence_shape(inst):
 @given(inst=instances())
 def test_omega_is_max_point_depth(inst):
     cs = enumerate_maximal_cliques(inst)
-    assert compute_stats(inst, cs).omega == max_depth(inst)
+    assert compute_stats(inst).omega == max(map(len, cs.cliques)) == max_depth(inst)
 
 
 @settings(max_examples=100, deadline=None)
@@ -103,15 +103,16 @@ def test_flow_costs_telescope(inst, k):
     cs = enumerate_maximal_cliques(inst)
     net = build_network(cs, inst, k)
     pi = compute_pi(net)
-    tn = transform_weights(net, pi)
-    assert all(0 <= wu <= pi[0] for wu in tn.weight_U)
-    fr = solve_min_cost_k_flow(tn, k, validate=True)
-    assert fr.weight_N_total + fr.cost_U == k * pi[0]
-    balance = [0] * tn.node_count
-    for arc, f in zip(tn.arcs, fr.flow):
-        assert 0 <= f <= arc.capacity
-        balance[arc.tail] += f
-        balance[arc.head] -= f
+    weight_u = transform_weights(net, pi)
+    assert all(0 <= wu <= pi[0] for wu in weight_u)
+    flow = check_flow_rounds(net, weight_u, k)
+    weight_n = flow_cost([w for _, _, w in net.arcs], flow)
+    assert weight_n + flow_cost(weight_u, flow) == k * pi[0]
+    balance = [0] * net.node_count
+    for a, ((tail, head, _), f) in enumerate(zip(net.arcs, flow)):
+        assert 0 <= f <= (k if a < net.r else 1)
+        balance[tail] += f
+        balance[head] -= f
     assert balance[0] == k and balance[-1] == -k
     assert all(b == 0 for b in balance[1:-1])
 
@@ -119,7 +120,8 @@ def test_flow_costs_telescope(inst, k):
 @settings(max_examples=100, deadline=None)
 @given(inst=instances(), k=ks)
 def test_solver_matches_exhaustive_search(inst, k):
-    sol = solve_mwkc(inst, k, validate=True, cross_check_components=True)
+    sol = solve_checked(inst, k)
+    assert sol.total_weight == per_component_total(inst, k)
     assert sol.total_weight == brute_force_mwkc(inst, k).best_weight
     assert verify_solution(sol, inst, k).ok
 
@@ -135,7 +137,7 @@ def test_k1_weight_is_longest_path(inst):
 @settings(max_examples=75, deadline=None)
 @given(inst=instances())
 def test_weights_grow_with_k_until_omega(inst):
-    omega = compute_stats(inst, enumerate_maximal_cliques(inst)).omega
+    omega = compute_stats(inst).omega
     totals = [solve_mwkc(inst, k).total_weight for k in range(1, omega + 2)]
     assert totals == sorted(totals)
     assert totals[-1] == totals[-2] == inst.total_weight  # k >= omega takes everything

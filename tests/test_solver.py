@@ -3,7 +3,6 @@ import random
 import pytest
 
 from sessionpick import (
-    Arc,
     EmptyInstance,
     FlowNetwork,
     InternalInvariantViolation,
@@ -20,7 +19,17 @@ from sessionpick import (
     verify_solution,
 )
 
-from conftest import DEMO10_PI, DEMO10_WEIGHT_U, make_instance
+from conftest import (
+    DEMO10_FLOW_K2,
+    DEMO10_PI,
+    DEMO10_SPANS,
+    DEMO10_WEIGHT_U,
+    check_flow_rounds,
+    flow_cost,
+    make_instance,
+    per_component_total,
+    solve_checked,
+)
 
 
 def _network(inst, k):
@@ -30,33 +39,24 @@ def _network(inst, k):
 
 def test_build_network_demo10(demo10):
     net = _network(demo10, 2)
-    assert net.node_count == 7
-    c_arcs = net.arcs[:6]
-    for i, arc in enumerate(c_arcs):
-        assert (arc.arc_id, arc.tail, arc.head) == (i, i, i + 1)
-        assert arc.kind == "c_arc"
-        assert arc.weight_N == 0
-        assert arc.capacity == 2
-        assert arc.vertex is None
+    assert (net.r, net.k, net.node_count) == (6, 2, 7)
+    # c-arcs are ids 0..r-1, weight 0, joining consecutive nodes
+    assert net.arcs[:6] == tuple((i, i + 1, 0) for i in range(6))
+    # vertex v's i-arc is id r + v and carries its weight
     i_arcs = net.arcs[6:]
     assert len(i_arcs) == 10
-    for vid, arc in enumerate(i_arcs):
-        assert arc.arc_id == 6 + vid
-        assert arc.vertex == vid
-        assert arc.kind == "i_arc"
-        assert arc.capacity == 1
-        assert arc.weight_N == demo10.vertices[vid].w
+    assert [w for _, _, w in i_arcs] == [v.w for v in demo10.vertices]
     # a vertex spanning cliques p..q becomes an arc from node p-1 to node q
-    arc4 = i_arcs[4]
-    assert (arc4.tail, arc4.head) == (1, 4)
+    for vid, (p, q) in DEMO10_SPANS.items():
+        assert i_arcs[vid][:2] == (p - 1, q)
+    assert i_arcs[4][:2] == (1, 4)
 
 
 def test_build_network_single_vertex():
     inst = make_instance([(0, 5, 7)])
     net = _network(inst, 3)
-    assert net.node_count == 2
-    assert [(a.tail, a.head, a.weight_N, a.capacity) for a in net.arcs] == \
-        [(0, 1, 0, 3), (0, 1, 7, 1)]
+    assert (net.node_count, net.k) == (2, 3)
+    assert net.arcs == ((0, 1, 0), (0, 1, 7))
 
 
 def test_build_network_rejects_empty_and_bad_k(demo10):
@@ -72,8 +72,8 @@ def test_compute_pi_demo10(demo10):
     pi = compute_pi(net)
     assert pi == DEMO10_PI
     # pi is a longest-path bound: no arc can improve on it
-    for arc in net.arcs:
-        assert pi[arc.tail] >= arc.weight_N + pi[arc.head]
+    for tail, head, w in net.arcs:
+        assert pi[tail] >= w + pi[head]
     assert pi[-1] == 0
 
 
@@ -85,30 +85,27 @@ def test_compute_pi_zero_weights():
 def test_transform_weights_demo10(demo10):
     net = _network(demo10, 2)
     pi = compute_pi(net)
-    tn = transform_weights(net, pi)
-    assert tn.weight_U == DEMO10_WEIGHT_U
-    assert all(0 <= wu <= pi[0] for wu in tn.weight_U)
+    weight_u = transform_weights(net, pi)
+    assert tuple(weight_u) == DEMO10_WEIGHT_U
+    assert all(0 <= wu <= pi[0] for wu in weight_u)
     # transformed weight is the slack of the arc against the longest path
-    for arc, wu in zip(net.arcs, tn.weight_U):
-        assert wu == pi[arc.tail] - pi[arc.head] - arc.weight_N
+    for (tail, head, w), wu in zip(net.arcs, weight_u):
+        assert wu == pi[tail] - pi[head] - w
 
 
 def test_transform_weights_rejects_inconsistent_pi():
-    net = FlowNetwork(node_count=2, arcs=(
-        Arc(arc_id=0, tail=0, head=1, kind="c_arc", vertex=None, weight_N=0, capacity=1),
-        Arc(arc_id=1, tail=0, head=1, kind="i_arc", vertex=0, weight_N=5, capacity=1),
-    ))
+    net = FlowNetwork(r=1, k=1, arcs=((0, 1, 0), (0, 1, 5)))
     with pytest.raises(InternalInvariantViolation):
         transform_weights(net, [0, 0])  # pi ignores the weight-5 arc
 
 
-def _flow_checks(tn, fr, k):
+def _flow_checks(net, flow, k):
     # capacities respected, conservation at interior nodes, k units end to end
-    balance = [0] * tn.node_count
-    for arc, f in zip(tn.arcs, fr.flow):
-        assert 0 <= f <= arc.capacity
-        balance[arc.tail] += f
-        balance[arc.head] -= f
+    balance = [0] * net.node_count
+    for a, ((tail, head, _), f) in enumerate(zip(net.arcs, flow)):
+        assert 0 <= f <= (net.k if a < net.r else 1)
+        balance[tail] += f
+        balance[head] -= f
     assert balance[0] == k
     assert balance[-1] == -k
     assert all(b == 0 for b in balance[1:-1])
@@ -117,35 +114,30 @@ def _flow_checks(tn, fr, k):
 def test_solve_k_flow_demo10(demo10):
     net = _network(demo10, 2)
     pi = compute_pi(net)
-    tn = transform_weights(net, pi)
-    fr = solve_min_cost_k_flow(tn, 2, validate=True)
-    assert fr.cost_U == 6
-    assert fr.weight_N_total == 34
-    assert fr.weight_N_total + fr.cost_U == 2 * pi[0]
-    _flow_checks(tn, fr, 2)
-    assert len(fr.paths) == 2
-    for path, arcs in zip(fr.paths, fr.path_arcs):
-        assert path[0] == 0 and path[-1] == tn.node_count - 1
-        assert len(arcs) == len(path) - 1
-        for arc_id, tail, head in zip(arcs, path, path[1:]):
-            arc = tn.arcs[arc_id]
-            assert (arc.tail, arc.head) == (tail, head)
+    weight_u = transform_weights(net, pi)
+    flow = check_flow_rounds(net, weight_u, 2)
+    assert flow == DEMO10_FLOW_K2
+    cost_u = flow_cost(weight_u, flow)
+    weight_n = flow_cost([w for _, _, w in net.arcs], flow)
+    assert cost_u == 6
+    assert weight_n == 34
+    assert weight_n + cost_u == 2 * pi[0]
+    _flow_checks(net, flow, 2)
 
 
 def test_solve_k1_flow_has_zero_cost(demo10):
     # one unit of flow can follow the longest path exactly
     net = _network(demo10, 1)
-    tn = transform_weights(net, compute_pi(net))
-    fr = solve_min_cost_k_flow(tn, 1)
-    assert fr.cost_U == 0
-    assert fr.weight_N_total == 20
+    weight_u = transform_weights(net, compute_pi(net))
+    flow = solve_min_cost_k_flow(net, weight_u, 1)
+    assert flow_cost(weight_u, flow) == 0
+    assert flow_cost([w for _, _, w in net.arcs], flow) == 20
 
 
 def test_extract_solution_demo10(demo10):
     net = _network(demo10, 2)
-    tn = transform_weights(net, compute_pi(net))
-    fr = solve_min_cost_k_flow(tn, 2)
-    sol = extract_solution(fr, net, demo10)
+    flow = solve_min_cost_k_flow(net, transform_weights(net, compute_pi(net)), 2)
+    sol = extract_solution(flow, net, demo10)
     assert sol.k == 2
     assert sol.total_weight == 34
     assert sol.Q == frozenset({0, 1, 2, 4, 5, 8, 9})
@@ -185,10 +177,11 @@ def test_solve_mwkc_deterministic(demo10):
 
 
 def test_solve_mwkc_cross_checks_components(demo10):
-    sol = solve_mwkc(demo10, 2, validate=True, cross_check_components=True)
-    assert sol.total_weight == 34
+    sol = solve_checked(demo10, 2)
+    assert sol.total_weight == per_component_total(demo10, 2) == 34
     gapped = make_instance([(0, 2, 3), (1, 3, 4), (10, 12, 5), (11, 13, 6), (12, 14, 7)])
-    sol = solve_mwkc(gapped, 2, validate=True, cross_check_components=True)
+    sol = solve_checked(gapped, 2)
+    assert sol.total_weight == per_component_total(gapped, 2)
     assert sol.total_weight == brute_force_mwkc(gapped, 2).best_weight == 25
     assert verify_solution(sol, gapped, 2).ok
 
@@ -211,7 +204,8 @@ def test_random_instances_match_oracle_with_validation():
             (s := rng.randint(0, 19), rng.randint(s + 1, 20), rng.randint(0, 9))
             for _ in range(rng.randint(1, 12))])
         for k in (1, 2, 3):
-            sol = solve_mwkc(inst, k, validate=True, cross_check_components=True)
+            sol = solve_checked(inst, k)
+            assert sol.total_weight == per_component_total(inst, k)
             assert sol.total_weight == brute_force_mwkc(inst, k).best_weight
             assert verify_solution(sol, inst, k).ok
 
@@ -220,7 +214,7 @@ def test_three_channels_known_totals(three_channels_csv):
     inst = to_intervals(parse_schedule(three_channels_csv.read_text(), "csv"))
     assert solve_mwkc(inst, 1).total_weight == 110
     # best two-session total; the independent oracle lands on the same value
-    sol2 = solve_mwkc(inst, 2, validate=True)
+    sol2 = solve_checked(inst, 2)
     assert sol2.total_weight == brute_force_mwkc(inst, 2).best_weight == 185
     assert verify_solution(sol2, inst, 2).ok
     assert solve_mwkc(inst, 3).total_weight == inst.total_weight == 215
