@@ -12,9 +12,8 @@ from .intervals import (CliqueSequence, GraphStats, compute_stats,
 from .oracle import (CheckReport, InstanceTooLarge, OracleResult,
                      brute_force_mwkc, verify_solution)
 from .schedule import (IntervalInstance, ProgrammeSlot, ScheduleError,
-                       ScheduleSet, TimePoint, ValidationIssue, Vertex,
-                       parse_schedule, serialize_schedule, to_intervals,
-                       validate_schedule)
+                       ScheduleSet, ValidationIssue, Vertex, parse_schedule,
+                       serialize_schedule, to_intervals, validate_schedule)
 from .solver import (EmptyInstance, FlowNetwork, InternalInvariantViolation,
                      KcolourSolution, build_network, compute_pi, extract_solution,
                      solve_min_cost_k_flow, solve_mwkc, transform_weights)
@@ -25,8 +24,8 @@ __all__ = [
     "CheckReport", "CliqueSequence", "EmptyInstance", "FlowNetwork",
     "GraphStats", "InstanceTooLarge", "InternalInvariantViolation",
     "IntervalInstance", "KcolourSolution", "OracleResult",
-    "ProgrammeSlot", "ScheduleError", "ScheduleSet", "TimePoint",
-    "ValidationIssue", "Vertex", "brute_force_mwkc",
+    "ProgrammeSlot", "ScheduleError", "ScheduleSet", "ValidationIssue",
+    "Vertex", "brute_force_mwkc",
     "build_network", "compute_pi", "compute_stats", "connected_components",
     "enumerate_maximal_cliques", "extract_solution", "overlaps",
     "parse_schedule", "serialize_schedule", "solve_min_cost_k_flow",

@@ -14,8 +14,8 @@ from pathlib import Path
 
 from .intervals import enumerate_maximal_cliques
 from .oracle import InstanceTooLarge, brute_force_mwkc, verify_solution
-from .schedule import (IntervalInstance, ScheduleError, ScheduleSet,
-                       parse_schedule, to_intervals, validate_schedule)
+from .schedule import (IntervalInstance, ScheduleError, ScheduleSet, ValidationIssue,
+                       format_time, parse_schedule, to_intervals, validate_schedule)
 from .solver import (EmptyInstance, KcolourSolution, build_network, compute_pi,
                      solve_mwkc, transform_weights)
 
@@ -30,21 +30,17 @@ class _CliError(Exception):
         self.code = code
 
 
-def _fail(message: str, code: int) -> _CliError:
-    return _CliError(message, code)
-
-
 def _read_input(args: argparse.Namespace) -> tuple[ScheduleSet, str]:
     path = Path(args.input)
     fmt = args.format or ("json" if path.suffix.lower() == ".json" else "csv")
     try:
         data = path.read_bytes()
     except OSError as exc:
-        raise _fail(f"cannot read {path}: {exc}", EXIT_USAGE) from None
+        raise _CliError(f"cannot read {path}: {exc}", EXIT_USAGE) from None
     try:
         return parse_schedule(data, fmt), fmt
     except ScheduleError as exc:
-        raise _fail(f"{path}: {exc}", EXIT_DATA) from None
+        raise _CliError(f"{path}: {exc}", EXIT_DATA) from None
 
 
 def _excluded(args: argparse.Namespace) -> frozenset[str]:
@@ -53,17 +49,21 @@ def _excluded(args: argparse.Namespace) -> frozenset[str]:
     return frozenset(part.strip() for part in args.exclude.split(",") if part.strip())
 
 
-def _checked_instance(args: argparse.Namespace) -> tuple[ScheduleSet, IntervalInstance]:
-    schedule, _ = _read_input(args)
-    report = validate_schedule(schedule)
+def _print_issues(report: list[ValidationIssue]) -> bool:
+    """Print validation issues to stderr; True if any of them is an error."""
     for issue in report:
         print(f"{issue.severity}: {issue.message}", file=sys.stderr)
-    if any(issue.severity == "ERROR" for issue in report):
-        raise _fail("schedule has validation errors", EXIT_DATA)
+    return any(issue.severity == "ERROR" for issue in report)
+
+
+def _checked_instance(args: argparse.Namespace) -> tuple[ScheduleSet, IntervalInstance]:
+    schedule, _ = _read_input(args)
+    if _print_issues(validate_schedule(schedule)):
+        raise _CliError("schedule has validation errors", EXIT_DATA)
     try:
         inst = to_intervals(schedule, _excluded(args))
     except ValueError as exc:
-        raise _fail(str(exc), EXIT_USAGE) from None
+        raise _CliError(str(exc), EXIT_USAGE) from None
     return schedule, inst
 
 
@@ -74,7 +74,7 @@ def _emit(payload: dict | str, args: argparse.Namespace) -> None:
         try:
             Path(args.output).write_text(text)
         except OSError as exc:
-            raise _fail(f"cannot write {args.output}: {exc}", EXIT_USAGE) from None
+            raise _CliError(f"cannot write {args.output}: {exc}", EXIT_USAGE) from None
     else:
         sys.stdout.write(text)
 
@@ -87,9 +87,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         for i in report
     ]}
     _emit(payload, args)
-    for issue in report:
-        print(f"{issue.severity}: {issue.message}", file=sys.stderr)
-    if any(i.severity == "ERROR" for i in report):
+    if _print_issues(report):
         return EXIT_DATA
     print(f"{len(schedule)} slots, {len(report)} issue(s)", file=sys.stderr)
     return EXIT_OK
@@ -112,7 +110,7 @@ def _cmd_cliques(args: argparse.Namespace) -> int:
 def _cmd_network(args: argparse.Namespace) -> int:
     _, inst = _checked_instance(args)
     if inst.n == 0:
-        raise _fail("empty instance, no network to dump", EXIT_DATA)
+        raise _CliError("empty instance, no network to dump", EXIT_DATA)
     cs = enumerate_maximal_cliques(inst)
     net = build_network(cs, inst, args.k)
     pi = compute_pi(net)
@@ -157,7 +155,8 @@ def _solution_payload(sol: KcolourSolution, schedule: ScheduleSet,
             weight += slot.viewers
             slots.append({
                 "slot_id": slot.slot_id, "channel": slot.channel, "title": slot.title,
-                "start": str(slot.start), "end": str(slot.end), "viewers": slot.viewers,
+                "start": format_time(slot.start), "end": format_time(slot.end),
+                "viewers": slot.viewers,
             })
         sessions.append({"weight": weight, "slots": slots})
     return {"k": sol.k, "total_weight": sol.total_weight, "sessions": sessions}
@@ -177,7 +176,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     try:
         sol = solve_mwkc(inst, args.k)
     except EmptyInstance as exc:
-        raise _fail(str(exc), EXIT_DATA) from None
+        raise _CliError(str(exc), EXIT_DATA) from None
     payload = _solution_payload(sol, schedule, inst)
     _emit(payload, args)
     _print_session_table(payload)
@@ -189,7 +188,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     try:
         result = brute_force_mwkc(inst, args.k)
     except InstanceTooLarge as exc:
-        raise _fail(str(exc), EXIT_DATA) from None
+        raise _CliError(str(exc), EXIT_DATA) from None
     assert inst.provenance is not None
     payload = {
         "k": args.k,
@@ -210,19 +209,19 @@ def _cmd_check(args: argparse.Namespace) -> int:
     try:
         data = json.loads(Path(args.solution).read_text())
     except OSError as exc:
-        raise _fail(f"cannot read {args.solution}: {exc}", EXIT_USAGE) from None
-    except ValueError as exc:  # not UTF-8, or not JSON
-        raise _fail(f"{args.solution}: invalid JSON: {exc}", EXIT_DATA) from None
+        raise _CliError(f"cannot read {args.solution}: {exc}", EXIT_USAGE) from None
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or too deep
+        raise _CliError(f"{args.solution}: invalid JSON: {exc}", EXIT_DATA) from None
     if not isinstance(data, dict) or "sessions" not in data:
-        raise _fail(f"{args.solution}: not a solution file", EXIT_DATA)
+        raise _CliError(f"{args.solution}: not a solution file", EXIT_DATA)
     sessions = data["sessions"]
     if not _all_objects(sessions):
-        raise _fail(f"{args.solution}: sessions must be a list of objects", EXIT_DATA)
+        raise _CliError(f"{args.solution}: sessions must be a list of objects", EXIT_DATA)
     k = args.k if args.k is not None else data.get("k", len(sessions))
     total_weight = data.get("total_weight", 0)
     for name, value in (("k", k), ("total_weight", total_weight)):
         if isinstance(value, bool) or not isinstance(value, int):
-            raise _fail(f"{args.solution}: {name} must be an integer", EXIT_DATA)
+            raise _CliError(f"{args.solution}: {name} must be an integer", EXIT_DATA)
 
     assert inst.provenance is not None
     vid_by_slot = {slot_id: vid for vid, slot_id in inst.provenance.items()}
@@ -234,13 +233,13 @@ def _cmd_check(args: argparse.Namespace) -> int:
         actual = 0
         slots = session.get("slots", [])
         if not _all_objects(slots):
-            raise _fail(f"{args.solution}: session {si}: slots must be a list of objects",
-                        EXIT_DATA)
+            raise _CliError(f"{args.solution}: session {si}: slots must be a list of objects",
+                            EXIT_DATA)
         for slot in slots:
             slot_id = slot.get("slot_id")
             if slot_id is not None and not isinstance(slot_id, str):
-                raise _fail(f"{args.solution}: session {si}: slot_id must be a string",
-                            EXIT_DATA)
+                raise _CliError(f"{args.solution}: session {si}: slot_id must be a string",
+                                EXIT_DATA)
             if slot_id not in vid_by_slot:
                 extra.append(f"session {si}: unknown slot id {slot_id!r}")
                 continue
@@ -324,10 +323,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    for name in ("k",):
-        value = getattr(args, name, None)
-        if value is not None and value < 1:
-            parser.error(f"--{name} must be >= 1")
+    if getattr(args, "k", None) is not None and args.k < 1:
+        parser.error("--k must be >= 1")
     try:
         return args.func(args)
     except _CliError as exc:

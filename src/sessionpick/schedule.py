@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import re
 from dataclasses import dataclass, field
 
 MINUTES_PER_DAY = 1440
@@ -28,28 +29,20 @@ class ScheduleError(ValueError):
         self.line = line
 
 
-@dataclass(frozen=True, order=True)
-class TimePoint:
-    """A time of day in minutes since 00:00. 1440 means end of day (24:00)."""
+_TIME = re.compile(r"([0-9]{1,2}):([0-5][0-9])")
 
-    minutes: int
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.minutes <= MINUTES_PER_DAY:
-            raise ValueError(f"time {self.minutes} outside [0, {MINUTES_PER_DAY}] minutes")
+def parse_time(text: str) -> int:
+    """Minutes since 00:00 of an H:MM or HH:MM time in ASCII digits, up to 24:00."""
+    match = _TIME.fullmatch(text.strip())
+    if match is None or (minutes := int(match[1]) * 60 + int(match[2])) > MINUTES_PER_DAY:
+        raise ValueError(f"bad time {text!r}, expected HH:MM up to 24:00")
+    return minutes
 
-    @classmethod
-    def parse(cls, text: str) -> "TimePoint":
-        parts = text.strip().split(":")
-        if len(parts) != 2 or not all(p.isdigit() for p in parts):
-            raise ValueError(f"bad time {text!r}, expected HH:MM")
-        hh, mm = int(parts[0]), int(parts[1])
-        if mm > 59 or hh > 24 or (hh == 24 and mm != 0):
-            raise ValueError(f"bad time {text!r}")
-        return cls(hh * 60 + mm)
 
-    def __str__(self) -> str:
-        return f"{self.minutes // 60:02d}:{self.minutes % 60:02d}"
+def format_time(minutes: int) -> str:
+    """HH:MM for minutes since 00:00; 1440 is 24:00."""
+    return f"{minutes // 60:02d}:{minutes % 60:02d}"
 
 
 @dataclass(frozen=True)
@@ -57,18 +50,14 @@ class ProgrammeSlot:
     slot_id: str
     channel: str
     title: str
-    start: TimePoint
-    end: TimePoint
+    start: int  # minutes since 00:00
+    end: int
     viewers: int
 
 
 @dataclass(frozen=True)
 class ScheduleSet:
     slots: tuple[ProgrammeSlot, ...]
-
-    @property
-    def channels(self) -> set[str]:
-        return {s.channel for s in self.slots}
 
     def __len__(self) -> int:
         return len(self.slots)
@@ -122,17 +111,17 @@ class ValidationIssue:
     message: str
 
 
-def _parse_viewers(text: str, line: int | None) -> int:
+def _parse_viewers(text: str, line: int) -> int:
+    digits = text.strip()
     try:
-        value = int(text.strip())
-    except ValueError:
-        raise ScheduleError(f"viewers {text!r} is not an integer", line) from None
-    if value < 0:
-        raise ScheduleError(f"viewers must be >= 0, got {value}", line)
-    return value
+        if digits.isascii() and digits.isdigit():
+            return int(digits)
+    except ValueError:  # longer than int()'s digit limit
+        pass
+    raise ScheduleError(f"viewers {text!r} is not a non-negative integer", line)
 
 
-def _make_slot(channel: str, title: str, start: str, end: str, viewers: str,
+def _make_slot(channel: str, title: str, start: str, end: str, viewers: int,
                line: int | None, seen: set[str]) -> ProgrammeSlot:
     channel = channel.strip()
     title = title.strip()
@@ -140,23 +129,19 @@ def _make_slot(channel: str, title: str, start: str, end: str, viewers: str,
         raise ScheduleError("empty channel name", line)
     if not title:
         raise ScheduleError("empty title", line)
+    if viewers < 0:
+        raise ScheduleError(f"viewers must be >= 0, got {viewers}", line)
     try:
-        start_tp = TimePoint.parse(start)
-        end_tp = TimePoint.parse(end)
+        start_min = parse_time(start)
+        end_min = parse_time(end)
     except ValueError as exc:
         raise ScheduleError(str(exc), line) from None
     # slot_id is the title; the input formats carry no separate id column
     if title in seen:
         raise ScheduleError(f"duplicate slot_id {title!r}", line)
     seen.add(title)
-    return ProgrammeSlot(
-        slot_id=title,
-        channel=channel,
-        title=title,
-        start=start_tp,
-        end=end_tp,
-        viewers=_parse_viewers(viewers, line),
-    )
+    return ProgrammeSlot(slot_id=title, channel=channel, title=title,
+                         start=start_min, end=end_min, viewers=viewers)
 
 
 def parse_schedule(source: bytes | str, fmt: str = "csv") -> ScheduleSet:
@@ -179,7 +164,10 @@ def _parse_csv(text: str) -> ScheduleSet:
     if not text.strip():
         return ScheduleSet(())
     reader = csv.reader(io.StringIO(text))
-    rows = list(reader)
+    try:
+        rows = list(reader)
+    except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
+        raise ScheduleError(f"bad CSV: {exc}", line=reader.line_num) from None
     header = [c.strip().lower() for c in rows[0]]
     if header != CSV_HEADER:
         raise ScheduleError(f"bad header {rows[0]!r}, expected {','.join(CSV_HEADER)}", line=1)
@@ -190,14 +178,16 @@ def _parse_csv(text: str) -> ScheduleSet:
             continue  # blank line
         if len(row) != 5:
             raise ScheduleError(f"expected 5 fields, got {len(row)}", line=i)
-        slots.append(_make_slot(*row, line=i, seen=seen))
+        channel, title, start, end, viewers = row
+        slots.append(_make_slot(channel, title, start, end, _parse_viewers(viewers, i),
+                                line=i, seen=seen))
     return ScheduleSet(tuple(slots))
 
 
 def _parse_json(text: str) -> ScheduleSet:
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also too deep, or an int over the digit limit
         raise ScheduleError(f"invalid JSON: {exc}") from None
     if not isinstance(data, dict) or not isinstance(data.get("slots"), list):
         raise ScheduleError('expected a top-level object with a "slots" list')
@@ -212,14 +202,12 @@ def _parse_json(text: str) -> ScheduleSet:
         viewers = rec["viewers"]
         if isinstance(viewers, bool) or not isinstance(viewers, int):
             raise ScheduleError(f"slot {i}: viewers must be an integer")
-        if viewers < 0:
-            raise ScheduleError(f"slot {i}: viewers must be >= 0")
         for key in ("channel", "title", "start", "end"):
             if not isinstance(rec[key], str):
                 raise ScheduleError(f"slot {i}: {key} must be a string")
         try:
             slots.append(_make_slot(rec["channel"], rec["title"], rec["start"],
-                                    rec["end"], str(viewers), line=None, seen=seen))
+                                    rec["end"], viewers, line=None, seen=seen))
         except ScheduleError as exc:
             raise ScheduleError(f"slot {i}: {exc}") from None
     return ScheduleSet(tuple(slots))
@@ -231,12 +219,13 @@ def serialize_schedule(s: ScheduleSet, fmt: str = "csv") -> str:
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(CSV_HEADER)
         for slot in s.slots:
-            writer.writerow([slot.channel, slot.title, str(slot.start), str(slot.end), slot.viewers])
+            writer.writerow([slot.channel, slot.title, format_time(slot.start),
+                             format_time(slot.end), slot.viewers])
         return out.getvalue()
     if fmt == "json":
         records = [
-            {"channel": sl.channel, "title": sl.title, "start": str(sl.start),
-             "end": str(sl.end), "viewers": sl.viewers}
+            {"channel": sl.channel, "title": sl.title, "start": format_time(sl.start),
+             "end": format_time(sl.end), "viewers": sl.viewers}
             for sl in s.slots
         ]
         return json.dumps({"slots": records}, indent=2) + "\n"
@@ -254,7 +243,8 @@ def validate_schedule(s: ScheduleSet) -> list[ValidationIssue]:
         if slot.start >= slot.end:
             issues.append(ValidationIssue(
                 "ERROR", (slot.slot_id,),
-                f"slot {slot.slot_id!r} has start {slot.start} >= end {slot.end}"))
+                f"slot {slot.slot_id!r} has start {format_time(slot.start)} "
+                f">= end {format_time(slot.end)}"))
     by_channel: dict[str, list[ProgrammeSlot]] = {}
     for slot in s.slots:
         if slot.start < slot.end:  # degenerate slots already reported above
@@ -289,7 +279,7 @@ def to_intervals(s: ScheduleSet, excluded: set[str] | frozenset[str] = frozenset
             raise ValueError(f"slot {slot.slot_id!r} has start >= end; validate first")
     kept.sort(key=lambda sl: (sl.start, sl.end, sl.slot_id))
     vertices = tuple(
-        Vertex(i, sl.start.minutes, sl.end.minutes, sl.viewers)
+        Vertex(i, sl.start, sl.end, sl.viewers)
         for i, sl in enumerate(kept)
     )
     provenance = {i: sl.slot_id for i, sl in enumerate(kept)}

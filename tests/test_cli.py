@@ -1,9 +1,14 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sessionpick.cli import main
 
@@ -12,6 +17,8 @@ from conftest import FIXTURES
 DEMO = str(FIXTURES / "demo10.csv")
 THREE = str(FIXTURES / "three_channels.csv")
 GOLDEN = Path(__file__).resolve().parent / "golden"
+HEADER = b"channel,title,start,end,viewers\n"
+DEEP = 100_000
 
 
 def run_cli(capsys, *argv):
@@ -309,3 +316,88 @@ def test_csv_with_byte_order_mark_solves_like_plain(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "solve", "--input", str(bom), "--k", "2")
     assert code == 0
     assert out == (GOLDEN / "solve_demo10_k2.json").read_text()
+
+
+@pytest.mark.parametrize("name,schedule,solution", [
+    ("long_field.csv", HEADER + b"A," + b"x" * 200_000 + b",01:00,02:00,1\n", None),
+    ("deep.json", b'{"slots": ' + b"[" * DEEP + b"]" * DEEP + b"}", None),
+    ("huge_viewers.json", b'{"slots": [{"channel": "A", "title": "x", "start": "01:00", '
+                          b'"end": "02:00", "viewers": ' + b"9" * 5001 + b"}]}", None),
+    ("demo10.csv", (FIXTURES / "demo10.csv").read_bytes(), b"[" * DEEP + b"]" * DEEP),
+], ids=["csv-200k-field", "json-deep-schedule", "json-5001-digit-viewers",
+        "check-deep-solution"])
+def test_oversized_or_deep_input_is_one_error_line(tmp_path, capsys, name, schedule,
+                                                   solution):
+    source = tmp_path / name
+    source.write_bytes(schedule)
+    argv = ["solve", "--input", str(source), "--k", "2"]
+    if solution is not None:
+        sol = tmp_path / "sol.json"
+        sol.write_bytes(solution)
+        argv = ["check", "--input", str(source), str(sol)]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def _quiet_main(argv):
+    """main(argv) with its stdout and stderr swallowed; SystemExit counts as
+    its exit code."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return main(argv)
+        except SystemExit as exc:
+            return exc.code
+
+
+# rows that sometimes parse, so the fuzz also reaches the solver
+_csv_like = st.text(alphabet="0123456789:,-_ \n\"ABx", max_size=80).map(str.encode)
+_json_value = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                               max_size=3),
+    max_leaves=8,
+)
+
+
+def _or_any(shaped):
+    """Values shaped like part of a solution file, or any JSON value."""
+    return shaped | _json_value
+
+
+# solution files whose every level may be malformed, so the fuzz reaches the
+# per-session and per-slot checks as well as the top-level ones
+_slot_like = st.fixed_dictionaries({}, optional={
+    "slot_id": _or_any(st.sampled_from(["I1", "I2", "I3", "A6"])),
+})
+_session_like = st.fixed_dictionaries({}, optional={
+    "weight": _or_any(st.integers()),
+    "slots": _or_any(st.lists(_slot_like, min_size=1, max_size=4)),
+})
+_solution_like = st.fixed_dictionaries({}, optional={
+    "k": _or_any(st.integers(min_value=-1, max_value=4)),
+    "total_weight": _or_any(st.integers()),
+    "sessions": _or_any(st.lists(_session_like, min_size=1, max_size=3)),
+}).map(lambda value: json.dumps(value).encode())
+
+
+@settings(max_examples=150, deadline=None)
+@given(body=st.binary(max_size=200) | _csv_like, after_header=st.booleans(),
+       fmt=st.sampled_from(["csv", "json"]))
+def test_fuzz_solve_exits_cleanly(body, after_header, fmt):
+    with tempfile.TemporaryDirectory() as tmp:
+        source = Path(tmp) / "schedule"
+        source.write_bytes((HEADER if after_header else b"") + body)
+        for k in ("1", "2", "3"):
+            code = _quiet_main(["solve", "--input", str(source), "--format", fmt, "--k", k])
+            assert code in (0, 1, 2)
+
+
+@settings(max_examples=150, deadline=None)
+@given(solution=st.binary(max_size=200) | _solution_like)
+def test_fuzz_check_exits_cleanly(solution):
+    with tempfile.TemporaryDirectory() as tmp:
+        sol = Path(tmp) / "sol.json"
+        sol.write_bytes(solution)
+        assert _quiet_main(["check", "--input", DEMO, str(sol)]) in (0, 1, 2)
