@@ -30,7 +30,7 @@ class _CliError(Exception):
         self.code = code
 
 
-def _read_input(args: argparse.Namespace) -> tuple[ScheduleSet, str]:
+def _read_input(args: argparse.Namespace) -> ScheduleSet:
     path = Path(args.input)
     fmt = args.format or ("json" if path.suffix.lower() == ".json" else "csv")
     try:
@@ -38,7 +38,7 @@ def _read_input(args: argparse.Namespace) -> tuple[ScheduleSet, str]:
     except OSError as exc:
         raise _CliError(f"cannot read {path}: {exc}", EXIT_USAGE) from None
     try:
-        return parse_schedule(data, fmt), fmt
+        return parse_schedule(data, fmt)
     except ScheduleError as exc:
         raise _CliError(f"{path}: {exc}", EXIT_DATA) from None
 
@@ -57,13 +57,17 @@ def _print_issues(report: list[ValidationIssue]) -> bool:
 
 
 def _checked_instance(args: argparse.Namespace) -> tuple[ScheduleSet, IntervalInstance]:
-    schedule, _ = _read_input(args)
+    schedule = _read_input(args)
     if _print_issues(validate_schedule(schedule)):
         raise _CliError("schedule has validation errors", EXIT_DATA)
     try:
         inst = to_intervals(schedule, _excluded(args))
     except ValueError as exc:
         raise _CliError(str(exc), EXIT_USAGE) from None
+    try:  # every total, session weight, pi and weight_U printed is at most this
+        str(inst.total_weight)
+    except ValueError:  # over sys.get_int_max_str_digits()
+        raise _CliError("total viewers has too many digits to print", EXIT_DATA) from None
     return schedule, inst
 
 
@@ -80,7 +84,7 @@ def _emit(payload: dict | str, args: argparse.Namespace) -> None:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    schedule, _ = _read_input(args)
+    schedule = _read_input(args)
     report = validate_schedule(schedule)
     payload = {"issues": [
         {"severity": i.severity, "slot_ids": list(i.slot_ids), "message": i.message}
@@ -109,10 +113,11 @@ def _cmd_cliques(args: argparse.Namespace) -> int:
 
 def _cmd_network(args: argparse.Namespace) -> int:
     _, inst = _checked_instance(args)
-    if inst.n == 0:
-        raise _CliError("empty instance, no network to dump", EXIT_DATA)
     cs = enumerate_maximal_cliques(inst)
-    net = build_network(cs, inst, args.k)
+    try:
+        net = build_network(cs, inst, args.k)
+    except EmptyInstance as exc:
+        raise _CliError(str(exc), EXIT_DATA) from None
     pi = compute_pi(net)
     weight_u = transform_weights(net, pi)
     # c-arcs are ids 0..r-1 with capacity k; arc r + v is vertex v's i-arc

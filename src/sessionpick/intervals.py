@@ -14,10 +14,6 @@ from dataclasses import dataclass
 
 from .schedule import IntervalInstance, Vertex
 
-_FINISH = 0  # finish events sort before start events at equal coordinates,
-_START = 1  # which is exactly the open-overlap rule: touching does not count
-
-
 def overlaps(a: Vertex, b: Vertex) -> bool:
     """Open-interval intersection: endpoints may touch without overlapping."""
     return a.s < b.f and b.s < a.f
@@ -57,15 +53,6 @@ class GraphStats:
     components: tuple[tuple[int, ...], ...]
 
 
-def _events(vertices: tuple[Vertex, ...]) -> list[tuple[int, int, int]]:
-    ev: list[tuple[int, int, int]] = []
-    for v in vertices:
-        ev.append((v.s, _START, v.vertex_id))
-        ev.append((v.f, _FINISH, v.vertex_id))
-    ev.sort()
-    return ev
-
-
 def enumerate_maximal_cliques(inst: IntervalInstance) -> CliqueSequence:
     """Sweep the endpoints once, recording a clique at every first finish
     after at least one start.
@@ -97,41 +84,37 @@ def enumerate_maximal_cliques(inst: IntervalInstance) -> CliqueSequence:
 def connected_components(inst: IntervalInstance) -> list[list[int]]:
     """Vertex ids grouped by overlap connectivity, in time order.
 
-    Components of an interval set occupy disjoint stretches of the line,
-    so a component ends exactly when the active set drains.
+    Components occupy disjoint stretches of the line, so in (start, id)
+    order a vertex opens a new one when it starts at or after the furthest
+    finish seen so far (touching does not overlap).
     """
     comps: list[list[int]] = []
-    current: list[int] = []
-    depth = 0
-    for _, kind, vid in _events(inst.vertices):
-        if kind == _START:
-            if depth == 0 and current:
-                comps.append(current)
-                current = []
-            current.append(vid)
-            depth += 1
+    reach = 0
+    for v in sorted(inst.vertices, key=lambda v: v.s):  # stable: ties keep id order
+        if comps and v.s < reach:
+            comps[-1].append(v.vertex_id)
+            reach = max(reach, v.f)
         else:
-            depth -= 1
-    if current:
-        comps.append(current)
+            comps.append([v.vertex_id])
+            reach = v.f
     return comps
 
 
 def compute_stats(inst: IntervalInstance) -> GraphStats:
-    # m: each start event contributes one edge per interval already active,
-    # counting every overlapping pair exactly once; omega is the deepest
-    # point, which for intervals is the largest clique
-    m = omega = depth = 0
-    for _, kind, _vid in _events(inst.vertices):
-        if kind == _START:
-            m += depth
-            depth += 1
-            omega = max(omega, depth)
-        else:
-            depth -= 1
+    """n, m, omega and the components, counted over the sorted endpoints.
+
+    The u with s_u < f_v, less those with f_u <= s_v, are v's neighbours
+    plus v itself. omega is the deepest point, which lies just after a start.
+    """
+    starts = sorted(v.s for v in inst.vertices)
+    finishes = sorted(v.f for v in inst.vertices)
+    closed = sum(bisect.bisect_left(starts, v.f) - bisect.bisect_right(finishes, v.s)
+                 for v in inst.vertices)
+    omega = max((bisect.bisect_right(starts, s) - bisect.bisect_right(finishes, s)
+                 for s in starts), default=0)
     return GraphStats(
         n=inst.n,
-        m=m,
+        m=(closed - inst.n) // 2,
         omega=omega,
         components=tuple(tuple(c) for c in connected_components(inst)),
     )

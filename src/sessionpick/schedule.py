@@ -161,21 +161,22 @@ def parse_schedule(source: bytes | str, fmt: str = "csv") -> ScheduleSet:
 
 
 def _parse_csv(text: str) -> ScheduleSet:
-    if not text.strip():
-        return ScheduleSet(())
     reader = csv.reader(io.StringIO(text))
     try:
         rows = list(reader)
     except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
         raise ScheduleError(f"bad CSV: {exc}", line=reader.line_num) from None
-    header = [c.strip().lower() for c in rows[0]]
-    if header != CSV_HEADER:
-        raise ScheduleError(f"bad header {rows[0]!r}, expected {','.join(CSV_HEADER)}", line=1)
+    numbered = [(i, row) for i, row in enumerate(rows, start=1)
+                if len(row) > 1 or (row and row[0].strip())]  # blank lines are skipped
+    if not numbered:
+        return ScheduleSet(())
+    (header_line, header_row), *body = numbered
+    if [c.strip().lower() for c in header_row] != CSV_HEADER:
+        raise ScheduleError(f"bad header {header_row!r}, expected {','.join(CSV_HEADER)}",
+                            line=header_line)
     slots: list[ProgrammeSlot] = []
     seen: set[str] = set()
-    for i, row in enumerate(rows[1:], start=2):
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue  # blank line
+    for i, row in body:
         if len(row) != 5:
             raise ScheduleError(f"expected 5 fields, got {len(row)}", line=i)
         channel, title, start, end, viewers = row

@@ -217,8 +217,6 @@ def extract_solution(flow: list[int], net: FlowNetwork,
 
 def solve_mwkc(inst: IntervalInstance, k: int) -> KcolourSolution:
     """Full pipeline: cliques, network, pi, transform, k-flow, extraction."""
-    if inst.n == 0:
-        raise EmptyInstance("no intervals, nothing to schedule")
     cs = enumerate_maximal_cliques(inst)
     net = build_network(cs, inst, k)
     pi = compute_pi(net)

@@ -323,9 +323,13 @@ def test_csv_with_byte_order_mark_solves_like_plain(tmp_path, capsys):
     ("deep.json", b'{"slots": ' + b"[" * DEEP + b"]" * DEEP + b"}", None),
     ("huge_viewers.json", b'{"slots": [{"channel": "A", "title": "x", "start": "01:00", '
                           b'"end": "02:00", "viewers": ' + b"9" * 5001 + b"}]}", None),
+    ("huge_total.json", b'{"slots": [{"channel": "A", "title": "x", "start": "01:00", '
+                        b'"end": "02:00", "viewers": ' + b"9" * 4300 + b'}, {"channel": "A", '
+                        b'"title": "y", "start": "02:00", "end": "03:00", "viewers": '
+                        + b"9" * 4300 + b"}]}", None),
     ("demo10.csv", (FIXTURES / "demo10.csv").read_bytes(), b"[" * DEEP + b"]" * DEEP),
 ], ids=["csv-200k-field", "json-deep-schedule", "json-5001-digit-viewers",
-        "check-deep-solution"])
+        "json-4301-digit-total", "check-deep-solution"])
 def test_oversized_or_deep_input_is_one_error_line(tmp_path, capsys, name, schedule,
                                                    solution):
     source = tmp_path / name
@@ -336,6 +340,16 @@ def test_oversized_or_deep_input_is_one_error_line(tmp_path, capsys, name, sched
         sol.write_bytes(solution)
         argv = ["check", "--input", str(source), str(sol)]
     code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("command", ["solve", "network"])
+def test_empty_schedule_is_one_error_line(tmp_path, capsys, command):
+    source = tmp_path / "empty.csv"
+    source.write_bytes(HEADER)
+    code, out, err = run_cli(capsys, command, "--input", str(source), "--k", "2")
     assert code == 1
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ")

@@ -70,7 +70,10 @@ def test_clique_sequence_shape(inst):
 @given(inst=instances())
 def test_omega_is_max_point_depth(inst):
     cs = enumerate_maximal_cliques(inst)
-    assert compute_stats(inst).omega == max(map(len, cs.cliques)) == max_depth(inst)
+    stats = compute_stats(inst)
+    assert stats.omega == max(map(len, cs.cliques)) == max_depth(inst)
+    assert stats.m == sum(overlaps(u, v) for u in inst.vertices for v in inst.vertices
+                          if u.vertex_id < v.vertex_id)
 
 
 @settings(max_examples=100, deadline=None)
@@ -84,6 +87,11 @@ def test_components_split_cleanly(inst):
         for v in inst.vertices:
             if u.vertex_id < v.vertex_id and overlaps(u, v):
                 assert where[u.vertex_id] == where[v.vertex_id]
+    # components in time order, each in (start, vertex_id) order
+    for comp in comps:
+        assert comp == sorted(comp, key=lambda vid: (inst.vertices[vid].s, vid))
+    for left, right in zip(comps, comps[1:]):
+        assert max(inst.vertices[v].f for v in left) <= inst.vertices[right[0]].s
     # within a component every vertex is reachable through overlaps
     for comp in comps:
         reached = {comp[0]}

@@ -51,6 +51,7 @@ def test_parse_csv_accepts_bytes_and_blank_lines():
     src = b"channel,title,start,end,viewers\n\nA,x,01:00,02:00,1\n\n"
     sched = parse_schedule(src, "csv")
     assert [s.title for s in sched.slots] == ["x"]
+    assert parse_schedule(b"\n \n" + src, "csv") == sched
 
 
 def test_parse_csv_empty_input_is_empty_schedule():
@@ -60,6 +61,7 @@ def test_parse_csv_empty_input_is_empty_schedule():
 @pytest.mark.parametrize("src,fragment", [
     ("channel,name,start,end,viewers\n", "header"),
     ("channel,title,start,end,viewers\nA,x,01:00\n", "line 2"),
+    ("\nchannel,title,start,end,viewers\nA,x,01:00\n", "line 3"),
     ("channel,title,start,end,viewers\nA,x,01:00,02:00,-1\n", "viewers"),
     ("channel,title,start,end,viewers\nA,x,01:00,02:00,3.5\n", "viewers"),
     ("channel,title,start,end,viewers\nA,x,01:00,02:00,1_0\n", "viewers"),
