@@ -12,7 +12,7 @@ from .intervals import (CliqueSequence, GraphStats, compute_stats,
 from .oracle import (CheckReport, InstanceTooLarge, OracleResult,
                      brute_force_mwkc, verify_solution)
 from .schedule import (IntervalInstance, ProgrammeSlot, ScheduleError,
-                       ScheduleSet, ValidationIssue, Vertex, parse_schedule,
+                       ValidationIssue, Vertex, parse_schedule,
                        serialize_schedule, to_intervals, validate_schedule)
 from .solver import (EmptyInstance, FlowNetwork, InternalInvariantViolation,
                      KcolourSolution, build_network, compute_pi, extract_solution,
@@ -24,7 +24,7 @@ __all__ = [
     "CheckReport", "CliqueSequence", "EmptyInstance", "FlowNetwork",
     "GraphStats", "InstanceTooLarge", "InternalInvariantViolation",
     "IntervalInstance", "KcolourSolution", "OracleResult",
-    "ProgrammeSlot", "ScheduleError", "ScheduleSet", "ValidationIssue",
+    "ProgrammeSlot", "ScheduleError", "ValidationIssue",
     "Vertex", "brute_force_mwkc",
     "build_network", "compute_pi", "compute_stats", "connected_components",
     "enumerate_maximal_cliques", "extract_solution", "overlaps",

@@ -14,7 +14,7 @@ from pathlib import Path
 
 from .intervals import enumerate_maximal_cliques
 from .oracle import InstanceTooLarge, brute_force_mwkc, verify_solution
-from .schedule import (IntervalInstance, ScheduleError, ScheduleSet, ValidationIssue,
+from .schedule import (IntervalInstance, ProgrammeSlot, ScheduleError, ValidationIssue,
                        format_time, parse_schedule, to_intervals, validate_schedule)
 from .solver import (EmptyInstance, KcolourSolution, build_network, compute_pi,
                      solve_mwkc, transform_weights)
@@ -30,7 +30,7 @@ class _CliError(Exception):
         self.code = code
 
 
-def _read_input(args: argparse.Namespace) -> ScheduleSet:
+def _read_input(args: argparse.Namespace) -> tuple[ProgrammeSlot, ...]:
     path = Path(args.input)
     fmt = args.format or ("json" if path.suffix.lower() == ".json" else "csv")
     try:
@@ -56,7 +56,8 @@ def _print_issues(report: list[ValidationIssue]) -> bool:
     return any(issue.severity == "ERROR" for issue in report)
 
 
-def _checked_instance(args: argparse.Namespace) -> tuple[ScheduleSet, IntervalInstance]:
+def _checked_instance(
+        args: argparse.Namespace) -> tuple[tuple[ProgrammeSlot, ...], IntervalInstance]:
     schedule = _read_input(args)
     if _print_issues(validate_schedule(schedule)):
         raise _CliError("schedule has validation errors", EXIT_DATA)
@@ -147,9 +148,9 @@ def _cmd_network(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _solution_payload(sol: KcolourSolution, schedule: ScheduleSet,
+def _solution_payload(sol: KcolourSolution, schedule: tuple[ProgrammeSlot, ...],
                       inst: IntervalInstance) -> dict:
-    slot_by_id = {slot.slot_id: slot for slot in schedule.slots}
+    slot_by_id = {slot.slot_id: slot for slot in schedule}
     assert inst.provenance is not None
     sessions = []
     for members in sol.classes:

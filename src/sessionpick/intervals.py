@@ -10,7 +10,7 @@ captures the whole adjacency structure.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .schedule import IntervalInstance, Vertex
 
@@ -19,8 +19,7 @@ def overlaps(a: Vertex, b: Vertex) -> bool:
     return a.s < b.f and b.s < a.f
 
 
-@dataclass(frozen=True)
-class CliqueSequence:
+class CliqueSequence(NamedTuple):
     """Maximal cliques C_1..C_r ordered by leading point.
 
     leading_points[i] is the largest member start of C_{i+1}, the leftmost
@@ -45,8 +44,7 @@ class CliqueSequence:
         return tuple(tuple(m) for m in members)
 
 
-@dataclass(frozen=True)
-class GraphStats:
+class GraphStats(NamedTuple):
     n: int
     m: int
     omega: int

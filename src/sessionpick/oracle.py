@@ -9,7 +9,7 @@ colouring.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .intervals import connected_components, overlaps
 from .schedule import IntervalInstance, Vertex
@@ -19,15 +19,13 @@ class InstanceTooLarge(ValueError):
     """The exhaustive search refuses components above the size limit."""
 
 
-@dataclass(frozen=True)
-class OracleResult:
+class OracleResult(NamedTuple):
     best_weight: int
     best_subset: frozenset[int]
     nodes_explored: int
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(NamedTuple):
     violations: tuple[str, ...]
     class_weights: tuple[int, ...]
     total_weight: int

@@ -12,7 +12,7 @@ import csv
 import io
 import json
 import re
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 MINUTES_PER_DAY = 1440
 
@@ -45,26 +45,20 @@ def format_time(minutes: int) -> str:
     return f"{minutes // 60:02d}:{minutes % 60:02d}"
 
 
-@dataclass(frozen=True)
-class ProgrammeSlot:
-    slot_id: str
+class ProgrammeSlot(NamedTuple):
     channel: str
     title: str
     start: int  # minutes since 00:00
     end: int
     viewers: int
 
-
-@dataclass(frozen=True)
-class ScheduleSet:
-    slots: tuple[ProgrammeSlot, ...]
-
-    def __len__(self) -> int:
-        return len(self.slots)
+    @property
+    def slot_id(self) -> str:
+        """The title; the input formats carry no separate id column."""
+        return self.title
 
 
-@dataclass(frozen=True)
-class Vertex:
+class Vertex(NamedTuple):
     """One weighted interval. Open-overlap semantics: (s, f) as an open set."""
 
     vertex_id: int
@@ -73,7 +67,6 @@ class Vertex:
     w: int
 
 
-@dataclass(frozen=True)
 class IntervalInstance:
     """A set of weighted intervals with dense 0-based vertex ids.
 
@@ -81,11 +74,11 @@ class IntervalInstance:
     instance was built from a schedule.
     """
 
-    vertices: tuple[Vertex, ...]
-    provenance: dict[int, str] | None = field(default=None, compare=False)
+    __slots__ = ("vertices", "provenance")
 
-    def __post_init__(self) -> None:
-        ordered = tuple(sorted(self.vertices, key=lambda v: v.vertex_id))
+    def __init__(self, vertices: tuple[Vertex, ...],
+                 provenance: dict[int, str] | None = None) -> None:
+        ordered = tuple(sorted(vertices, key=lambda v: v.vertex_id))
         if [v.vertex_id for v in ordered] != list(range(len(ordered))):
             raise ValueError("vertex ids must be dense 0..n-1")
         for v in ordered:
@@ -93,7 +86,8 @@ class IntervalInstance:
                 raise ValueError(f"vertex {v.vertex_id} has s >= f")
             if v.w < 0:
                 raise ValueError(f"vertex {v.vertex_id} has negative weight")
-        object.__setattr__(self, "vertices", ordered)
+        self.vertices = ordered
+        self.provenance = provenance
 
     @property
     def n(self) -> int:
@@ -104,8 +98,7 @@ class IntervalInstance:
         return sum(v.w for v in self.vertices)
 
 
-@dataclass(frozen=True)
-class ValidationIssue:
+class ValidationIssue(NamedTuple):
     severity: str  # "ERROR" or "WARNING"
     slot_ids: tuple[str, ...]
     message: str
@@ -136,16 +129,14 @@ def _make_slot(channel: str, title: str, start: str, end: str, viewers: int,
         end_min = parse_time(end)
     except ValueError as exc:
         raise ScheduleError(str(exc), line) from None
-    # slot_id is the title; the input formats carry no separate id column
     if title in seen:
         raise ScheduleError(f"duplicate slot_id {title!r}", line)
     seen.add(title)
-    return ProgrammeSlot(slot_id=title, channel=channel, title=title,
-                         start=start_min, end=end_min, viewers=viewers)
+    return ProgrammeSlot(channel, title, start_min, end_min, viewers)
 
 
-def parse_schedule(source: bytes | str, fmt: str = "csv") -> ScheduleSet:
-    """Parse CSV or JSON schedule data into a ScheduleSet, preserving order."""
+def parse_schedule(source: bytes | str, fmt: str = "csv") -> tuple[ProgrammeSlot, ...]:
+    """Parse CSV or JSON schedule data into a tuple of slots, preserving order."""
     if isinstance(source, bytes):
         try:
             text = source.decode("utf-8-sig")  # spreadsheet exports lead with a BOM
@@ -160,16 +151,19 @@ def parse_schedule(source: bytes | str, fmt: str = "csv") -> ScheduleSet:
     raise ScheduleError(f"unknown format {fmt!r}, expected csv or json")
 
 
-def _parse_csv(text: str) -> ScheduleSet:
+def _parse_csv(text: str) -> tuple[ProgrammeSlot, ...]:
     reader = csv.reader(io.StringIO(text))
+    numbered: list[tuple[int, list[str]]] = []  # (file line the row starts on, row)
+    start = 1  # a quoted field may span lines, so rows and lines differ
     try:
-        rows = list(reader)
+        for row in reader:
+            if len(row) > 1 or (row and row[0].strip()):  # blank lines are skipped
+                numbered.append((start, row))
+            start = reader.line_num + 1
     except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
         raise ScheduleError(f"bad CSV: {exc}", line=reader.line_num) from None
-    numbered = [(i, row) for i, row in enumerate(rows, start=1)
-                if len(row) > 1 or (row and row[0].strip())]  # blank lines are skipped
     if not numbered:
-        return ScheduleSet(())
+        return ()
     (header_line, header_row), *body = numbered
     if [c.strip().lower() for c in header_row] != CSV_HEADER:
         raise ScheduleError(f"bad header {header_row!r}, expected {','.join(CSV_HEADER)}",
@@ -182,10 +176,10 @@ def _parse_csv(text: str) -> ScheduleSet:
         channel, title, start, end, viewers = row
         slots.append(_make_slot(channel, title, start, end, _parse_viewers(viewers, i),
                                 line=i, seen=seen))
-    return ScheduleSet(tuple(slots))
+    return tuple(slots)
 
 
-def _parse_json(text: str) -> ScheduleSet:
+def _parse_json(text: str) -> tuple[ProgrammeSlot, ...]:
     try:
         data = json.loads(text)
     except (ValueError, RecursionError) as exc:  # also too deep, or an int over the digit limit
@@ -211,15 +205,15 @@ def _parse_json(text: str) -> ScheduleSet:
                                     rec["end"], viewers, line=None, seen=seen))
         except ScheduleError as exc:
             raise ScheduleError(f"slot {i}: {exc}") from None
-    return ScheduleSet(tuple(slots))
+    return tuple(slots)
 
 
-def serialize_schedule(s: ScheduleSet, fmt: str = "csv") -> str:
+def serialize_schedule(s: tuple[ProgrammeSlot, ...], fmt: str = "csv") -> str:
     if fmt == "csv":
         out = io.StringIO()
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(CSV_HEADER)
-        for slot in s.slots:
+        for slot in s:
             writer.writerow([slot.channel, slot.title, format_time(slot.start),
                              format_time(slot.end), slot.viewers])
         return out.getvalue()
@@ -227,27 +221,27 @@ def serialize_schedule(s: ScheduleSet, fmt: str = "csv") -> str:
         records = [
             {"channel": sl.channel, "title": sl.title, "start": format_time(sl.start),
              "end": format_time(sl.end), "viewers": sl.viewers}
-            for sl in s.slots
+            for sl in s
         ]
         return json.dumps({"slots": records}, indent=2) + "\n"
     raise ValueError(f"unknown format {fmt!r}")
 
 
-def validate_schedule(s: ScheduleSet) -> list[ValidationIssue]:
+def validate_schedule(s: tuple[ProgrammeSlot, ...]) -> list[ValidationIssue]:
     """Check the model assumptions. Never raises; returns a report.
 
     ERROR: a slot with start >= end (zero-length or wrapping past midnight).
     WARNING: two slots of the same channel whose open intervals overlap.
     """
     issues: list[ValidationIssue] = []
-    for slot in s.slots:
+    for slot in s:
         if slot.start >= slot.end:
             issues.append(ValidationIssue(
                 "ERROR", (slot.slot_id,),
                 f"slot {slot.slot_id!r} has start {format_time(slot.start)} "
                 f">= end {format_time(slot.end)}"))
     by_channel: dict[str, list[ProgrammeSlot]] = {}
-    for slot in s.slots:
+    for slot in s:
         if slot.start < slot.end:  # degenerate slots already reported above
             by_channel.setdefault(slot.channel, []).append(slot)
     for channel in sorted(by_channel):
@@ -263,18 +257,19 @@ def validate_schedule(s: ScheduleSet) -> list[ValidationIssue]:
     return issues
 
 
-def to_intervals(s: ScheduleSet, excluded: set[str] | frozenset[str] = frozenset()) -> IntervalInstance:
+def to_intervals(s: tuple[ProgrammeSlot, ...],
+                 excluded: set[str] | frozenset[str] = frozenset()) -> IntervalInstance:
     """Build the weighted interval instance for the non-excluded slots.
 
     Excluded slots are dropped entirely, which leaves the optimum unchanged
     compared to keeping them at weight zero. Vertex ids are assigned in
     (start, end, slot_id) order.
     """
-    known = {slot.slot_id for slot in s.slots}
+    known = {slot.slot_id for slot in s}
     unknown = set(excluded) - known
     if unknown:
         raise ValueError(f"excluded slot ids not in schedule: {', '.join(sorted(unknown))}")
-    kept = [slot for slot in s.slots if slot.slot_id not in excluded]
+    kept = [slot for slot in s if slot.slot_id not in excluded]
     for slot in kept:
         if slot.start >= slot.end:
             raise ValueError(f"slot {slot.slot_id!r} has start >= end; validate first")

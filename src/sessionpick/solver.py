@@ -14,7 +14,7 @@ which flows are optimal).
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .intervals import CliqueSequence, enumerate_maximal_cliques
 from .schedule import IntervalInstance
@@ -31,8 +31,7 @@ class InternalInvariantViolation(RuntimeError):
     never a property of the input."""
 
 
-@dataclass(frozen=True)
-class FlowNetwork:
+class FlowNetwork(NamedTuple):
     """Nodes 0..r over the clique order; 0 is the source, r the sink.
 
     arcs[a] is (tail, head, weight_N). Arcs 0..r-1 are the c-arcs i -> i+1
@@ -48,8 +47,7 @@ class FlowNetwork:
         return self.r + 1
 
 
-@dataclass(frozen=True)
-class KcolourSolution:
+class KcolourSolution(NamedTuple):
     k: int
     Q: frozenset[int]
     classes: tuple[tuple[int, ...], ...]  # k classes, vertices by start time

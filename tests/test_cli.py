@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import os
 import subprocess
 import sys
 import tempfile
@@ -249,6 +250,17 @@ def test_module_entry_point():
         capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["total_weight"] == 20
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # both cost start-up time on every CLI call and the records need neither
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = ("import sys, sessionpick.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60, env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize("golden,argv", [

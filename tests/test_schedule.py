@@ -8,7 +8,6 @@ from sessionpick import (
     IntervalInstance,
     ProgrammeSlot,
     ScheduleError,
-    ScheduleSet,
     Vertex,
     parse_schedule,
     serialize_schedule,
@@ -38,7 +37,7 @@ def test_parse_csv_single_row():
     src = "channel,title,start,end,viewers\nNatGeo,Mission Everest,10:00,10:30,8\n"
     sched = parse_schedule(src, "csv")
     assert len(sched) == 1
-    slot = sched.slots[0]
+    slot = sched[0]
     assert slot.channel == "NatGeo"
     assert slot.title == "Mission Everest"
     assert slot.slot_id == "Mission Everest"
@@ -50,7 +49,7 @@ def test_parse_csv_single_row():
 def test_parse_csv_accepts_bytes_and_blank_lines():
     src = b"channel,title,start,end,viewers\n\nA,x,01:00,02:00,1\n\n"
     sched = parse_schedule(src, "csv")
-    assert [s.title for s in sched.slots] == ["x"]
+    assert [s.title for s in sched] == ["x"]
     assert parse_schedule(b"\n \n" + src, "csv") == sched
 
 
@@ -69,6 +68,10 @@ def test_parse_csv_empty_input_is_empty_schedule():
     ("channel,title,start,end,viewers\nA,x,01:00,02:00,+5\n", "viewers"),
     ("channel,title,start,end,viewers\nA,x,1:5,02:00,1\n", "time"),
     ("channel,title,start,end,viewers\nA,x,01:00,02:00,1\nB,x,03:00,04:00,1\n", "duplicate"),
+    # a quoted title spans lines 2-3, so the next row starts on line 4
+    ('channel,title,start,end,viewers\nA,"x\ny",01:00,02:00,1\nB,z,01:00\n', "line 4: expected 5"),
+    ('channel,title,start,end,viewers\nA,"x\ny",01:00,02:00,1\nB,"x\ny",03:00,04:00,1\n',
+     "line 4: duplicate"),
     ("channel,title,start,end,viewers\nA,x,25:00,26:00,1\n", "time"),
     ("channel,title,start,end,viewers\nA,,01:00,02:00,1\n", "title"),
 ])
@@ -83,7 +86,7 @@ def test_parse_json_basic():
         {"channel": "A", "title": "x", "start": "01:00", "end": "02:00", "viewers": 4},
     ]})
     sched = parse_schedule(src, "json")
-    assert sched.slots[0].viewers == 4
+    assert sched[0].viewers == 4
 
 
 @pytest.mark.parametrize("payload", [
@@ -105,17 +108,17 @@ def test_parse_unknown_format():
 
 
 def _slot(channel, title, start, end, viewers=1):
-    return ProgrammeSlot(title, channel, title, parse_time(start), parse_time(end), viewers)
+    return ProgrammeSlot(channel, title, parse_time(start), parse_time(end), viewers)
 
 
 def test_validate_clean_schedule():
-    sched = ScheduleSet((_slot("A", "x", "01:00", "02:00"),
-                         _slot("A", "y", "02:00", "03:00")))
+    sched = (_slot("A", "x", "01:00", "02:00"),
+             _slot("A", "y", "02:00", "03:00"))
     assert validate_schedule(sched) == []
 
 
 def test_validate_flags_degenerate_slot():
-    sched = ScheduleSet((_slot("A", "x", "02:00", "02:00"),))
+    sched = (_slot("A", "x", "02:00", "02:00"),)
     issues = validate_schedule(sched)
     assert len(issues) == 1
     assert issues[0].severity == "ERROR"
@@ -123,25 +126,25 @@ def test_validate_flags_degenerate_slot():
 
 
 def test_validate_flags_same_channel_overlap():
-    sched = ScheduleSet((_slot("A", "x", "01:00", "03:00"),
-                         _slot("A", "y", "02:00", "04:00"),
-                         _slot("B", "z", "02:00", "04:00")))
+    sched = (_slot("A", "x", "01:00", "03:00"),
+             _slot("A", "y", "02:00", "04:00"),
+             _slot("B", "z", "02:00", "04:00"))
     issues = validate_schedule(sched)
     assert [i.severity for i in issues] == ["WARNING"]
     assert set(issues[0].slot_ids) == {"x", "y"}
 
 
 def test_validate_ignores_cross_channel_and_touching():
-    sched = ScheduleSet((_slot("A", "x", "01:00", "03:00"),
-                         _slot("B", "y", "02:00", "04:00"),
-                         _slot("A", "z", "03:00", "05:00")))
+    sched = (_slot("A", "x", "01:00", "03:00"),
+             _slot("B", "y", "02:00", "04:00"),
+             _slot("A", "z", "03:00", "05:00"))
     assert validate_schedule(sched) == []
 
 
 def test_to_intervals_sorts_and_records_slot_ids():
-    sched = ScheduleSet((_slot("A", "late", "05:00", "06:00", 2),
-                         _slot("B", "b-early", "01:00", "02:00", 3),
-                         _slot("C", "a-early", "01:00", "02:00", 4)))
+    sched = (_slot("A", "late", "05:00", "06:00", 2),
+             _slot("B", "b-early", "01:00", "02:00", 3),
+             _slot("C", "a-early", "01:00", "02:00", 4))
     inst = to_intervals(sched)
     assert [inst.provenance[v.vertex_id] for v in inst.vertices] == \
         ["a-early", "b-early", "late"]
@@ -150,8 +153,8 @@ def test_to_intervals_sorts_and_records_slot_ids():
 
 
 def test_to_intervals_exclusion():
-    sched = ScheduleSet((_slot("A", "x", "01:00", "02:00"),
-                         _slot("A", "y", "03:00", "04:00")))
+    sched = (_slot("A", "x", "01:00", "02:00"),
+             _slot("A", "y", "03:00", "04:00"))
     inst = to_intervals(sched, excluded={"x"})
     assert inst.n == 1
     assert inst.provenance[0] == "y"
@@ -160,7 +163,7 @@ def test_to_intervals_exclusion():
 
 
 def test_to_intervals_rejects_degenerate():
-    sched = ScheduleSet((_slot("A", "x", "02:00", "02:00"),))
+    sched = (_slot("A", "x", "02:00", "02:00"),)
     with pytest.raises(ValueError, match="validate"):
         to_intervals(sched)
 
@@ -197,13 +200,15 @@ def schedules(draw):
         start = draw(st.integers(min_value=0, max_value=1439))
         end = draw(st.integers(min_value=start + 1, max_value=1440))
         slots.append(ProgrammeSlot(
-            slot_id=f"{base}{i}", channel=draw(st.sampled_from(["one", "two", "three"])),
+            channel=draw(st.sampled_from(["one", "two", "three"])),
             title=f"{base}{i}", start=start, end=end,
             viewers=draw(st.integers(min_value=0, max_value=999))))
-    return ScheduleSet(tuple(slots))
+    return tuple(slots)
 
 
 @settings(max_examples=100, deadline=None)
 @given(sched=schedules(), fmt=st.sampled_from(["csv", "json"]))
 def test_serialize_parse_roundtrip(sched, fmt):
-    assert parse_schedule(serialize_schedule(sched, fmt), fmt) == sched
+    parsed = parse_schedule(serialize_schedule(sched, fmt), fmt)
+    assert parsed == sched
+    assert all(slot.slot_id == slot.title for slot in parsed)
