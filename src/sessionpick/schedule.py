@@ -22,12 +22,6 @@ CSV_HEADER = ["channel", "title", "start", "end", "viewers"]
 class ScheduleError(ValueError):
     """Raised when input data cannot be parsed into a schedule."""
 
-    def __init__(self, message: str, line: int | None = None):
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
-        self.line = line
-
 
 _TIME = re.compile(r"([0-9]{1,2}):([0-5][0-9])")
 
@@ -104,33 +98,34 @@ class ValidationIssue(NamedTuple):
     message: str
 
 
-def _parse_viewers(text: str, line: int) -> int:
+def _parse_viewers(text: str, where: str) -> int:
     digits = text.strip()
     try:
         if digits.isascii() and digits.isdigit():
             return int(digits)
     except ValueError:  # longer than int()'s digit limit
         pass
-    raise ScheduleError(f"viewers {text!r} is not a non-negative integer", line)
+    raise ScheduleError(f"{where}: viewers {text!r} is not a non-negative integer")
 
 
 def _make_slot(channel: str, title: str, start: str, end: str, viewers: int,
-               line: int | None, seen: set[str]) -> ProgrammeSlot:
+               where: str, seen: set[str]) -> ProgrammeSlot:
+    """where ("line N" or "slot i") leads every message."""
     channel = channel.strip()
     title = title.strip()
     if not channel:
-        raise ScheduleError("empty channel name", line)
+        raise ScheduleError(f"{where}: empty channel name")
     if not title:
-        raise ScheduleError("empty title", line)
+        raise ScheduleError(f"{where}: empty title")
     if viewers < 0:
-        raise ScheduleError(f"viewers must be >= 0, got {viewers}", line)
+        raise ScheduleError(f"{where}: viewers must be >= 0, got {viewers}")
     try:
         start_min = parse_time(start)
         end_min = parse_time(end)
     except ValueError as exc:
-        raise ScheduleError(str(exc), line) from None
+        raise ScheduleError(f"{where}: {exc}") from None
     if title in seen:
-        raise ScheduleError(f"duplicate slot_id {title!r}", line)
+        raise ScheduleError(f"{where}: duplicate slot_id {title!r}")
     seen.add(title)
     return ProgrammeSlot(channel, title, start_min, end_min, viewers)
 
@@ -143,7 +138,7 @@ def parse_schedule(source: bytes | str, fmt: str = "csv") -> tuple[ProgrammeSlot
         except UnicodeDecodeError as exc:
             raise ScheduleError(f"input is not UTF-8: {exc}") from None
     else:
-        text = source
+        text = source.removeprefix("\ufeff")  # the one BOM utf-8-sig drops from bytes
     if fmt == "csv":
         return _parse_csv(text)
     if fmt == "json":
@@ -152,7 +147,7 @@ def parse_schedule(source: bytes | str, fmt: str = "csv") -> tuple[ProgrammeSlot
 
 
 def _parse_csv(text: str) -> tuple[ProgrammeSlot, ...]:
-    reader = csv.reader(io.StringIO(text))
+    reader = csv.reader(io.StringIO(text, newline=""))  # LF, CRLF or bare CR
     numbered: list[tuple[int, list[str]]] = []  # (file line the row starts on, row)
     start = 1  # a quoted field may span lines, so rows and lines differ
     try:
@@ -161,21 +156,22 @@ def _parse_csv(text: str) -> tuple[ProgrammeSlot, ...]:
                 numbered.append((start, row))
             start = reader.line_num + 1
     except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
-        raise ScheduleError(f"bad CSV: {exc}", line=reader.line_num) from None
+        raise ScheduleError(f"line {reader.line_num}: bad CSV: {exc}") from None
     if not numbered:
         return ()
     (header_line, header_row), *body = numbered
     if [c.strip().lower() for c in header_row] != CSV_HEADER:
-        raise ScheduleError(f"bad header {header_row!r}, expected {','.join(CSV_HEADER)}",
-                            line=header_line)
+        raise ScheduleError(f"line {header_line}: bad header {header_row!r}, "
+                            f"expected {','.join(CSV_HEADER)}")
     slots: list[ProgrammeSlot] = []
     seen: set[str] = set()
     for i, row in body:
+        where = f"line {i}"
         if len(row) != 5:
-            raise ScheduleError(f"expected 5 fields, got {len(row)}", line=i)
+            raise ScheduleError(f"{where}: expected 5 fields, got {len(row)}")
         channel, title, start, end, viewers = row
-        slots.append(_make_slot(channel, title, start, end, _parse_viewers(viewers, i),
-                                line=i, seen=seen))
+        slots.append(_make_slot(channel, title, start, end, _parse_viewers(viewers, where),
+                                where, seen))
     return tuple(slots)
 
 
@@ -189,22 +185,20 @@ def _parse_json(text: str) -> tuple[ProgrammeSlot, ...]:
     slots: list[ProgrammeSlot] = []
     seen: set[str] = set()
     for i, rec in enumerate(data["slots"]):
+        where = f"slot {i}"
         if not isinstance(rec, dict):
-            raise ScheduleError(f"slot {i} is not an object")
+            raise ScheduleError(f"{where} is not an object")
         missing = [k for k in CSV_HEADER if k not in rec]
         if missing:
-            raise ScheduleError(f"slot {i} missing fields: {', '.join(missing)}")
+            raise ScheduleError(f"{where} missing fields: {', '.join(missing)}")
         viewers = rec["viewers"]
         if isinstance(viewers, bool) or not isinstance(viewers, int):
-            raise ScheduleError(f"slot {i}: viewers must be an integer")
+            raise ScheduleError(f"{where}: viewers must be an integer")
         for key in ("channel", "title", "start", "end"):
             if not isinstance(rec[key], str):
-                raise ScheduleError(f"slot {i}: {key} must be a string")
-        try:
-            slots.append(_make_slot(rec["channel"], rec["title"], rec["start"],
-                                    rec["end"], viewers, line=None, seen=seen))
-        except ScheduleError as exc:
-            raise ScheduleError(f"slot {i}: {exc}") from None
+                raise ScheduleError(f"{where}: {key} must be a string")
+        slots.append(_make_slot(rec["channel"], rec["title"], rec["start"],
+                                rec["end"], viewers, where, seen))
     return tuple(slots)
 
 
@@ -233,16 +227,15 @@ def validate_schedule(s: tuple[ProgrammeSlot, ...]) -> list[ValidationIssue]:
     ERROR: a slot with start >= end (zero-length or wrapping past midnight).
     WARNING: two slots of the same channel whose open intervals overlap.
     """
-    issues: list[ValidationIssue] = []
+    issues: list[ValidationIssue] = []  # ERRORs in input order, then WARNINGs
+    by_channel: dict[str, list[ProgrammeSlot]] = {}
     for slot in s:
         if slot.start >= slot.end:
             issues.append(ValidationIssue(
                 "ERROR", (slot.slot_id,),
                 f"slot {slot.slot_id!r} has start {format_time(slot.start)} "
                 f">= end {format_time(slot.end)}"))
-    by_channel: dict[str, list[ProgrammeSlot]] = {}
-    for slot in s:
-        if slot.start < slot.end:  # degenerate slots already reported above
+        else:
             by_channel.setdefault(slot.channel, []).append(slot)
     for channel in sorted(by_channel):
         group = sorted(by_channel[channel], key=lambda sl: (sl.start, sl.end, sl.slot_id))

@@ -70,15 +70,14 @@ def build_network(cs: CliqueSequence, inst: IntervalInstance, k: int) -> FlowNet
 def compute_pi(net: FlowNetwork) -> list[int]:
     """pi[i] = heaviest path weight from node i to the sink.
 
-    Node numbering is already a topological order (every arc goes forward),
-    so one reverse pass suffices.
+    Every arc goes forward, so taking the arcs by descending tail settles
+    pi[head] before any arc into it is read. The start value 0 is never
+    above the answer: each node i < r has the weight-0 c-arc to i + 1.
     """
-    by_tail: list[list[tuple[int, int]]] = [[] for _ in range(net.node_count)]
-    for tail, head, w in net.arcs:
-        by_tail[tail].append((head, w))
     pi = [0] * net.node_count
-    for i in range(net.r - 1, -1, -1):
-        pi[i] = max(w + pi[head] for head, w in by_tail[i])
+    for tail, head, w in sorted(net.arcs, reverse=True):
+        if w + pi[head] > pi[tail]:
+            pi[tail] = w + pi[head]
     return pi
 
 
@@ -98,23 +97,21 @@ def transform_weights(net: FlowNetwork, pi: list[int]) -> list[int]:
     return weight_u
 
 
-def solve_min_cost_k_flow(net: FlowNetwork, weight_u: list[int], k: int) -> list[int]:
-    """Route k units from source to sink at minimum transformed cost and
-    return the flow on each arc.
+def solve_min_cost_k_flow(net: FlowNetwork, weight_u: list[int]) -> list[int]:
+    """Route net.k units from source to sink at minimum transformed cost
+    and return the flow on each arc.
 
-    Successive shortest paths with node potentials: k rounds of Dijkstra on
-    reduced costs, one unit augmented per round. Initial potentials of zero
-    are valid because every weight_U is non-negative. The all-c-arc chain
-    keeps every node reachable in every round (c-arc flow is at most the
-    number of finished rounds, which is below the capacity k), so the sink
-    is always reached and feasibility never fails on a well-formed network.
+    Successive shortest paths with node potentials: net.k rounds of Dijkstra
+    on reduced costs, one unit augmented per round. Initial potentials of
+    zero are valid because every weight_U is non-negative. The all-c-arc
+    chain keeps every node reachable in every round (c-arc flow is at most
+    the number of finished rounds, which is below the capacity net.k), so a
+    node left unreached, the sink included, is an InternalInvariantViolation.
 
     The residual graph lives in parallel lists: arc a is edge 2a forward and
     edge 2a+1 backward, and pushing a unit along edge e moves one unit of
     residual capacity from e to e ^ 1.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
     nodes = net.node_count
     sink = net.r
     to: list[int] = []
@@ -129,7 +126,7 @@ def solve_min_cost_k_flow(net: FlowNetwork, weight_u: list[int], k: int) -> list
         adj[head].append(2 * a + 1)
     phi = [0] * nodes
 
-    for _ in range(k):
+    for _ in range(net.k):
         dist: list[float] = [INF] * nodes
         dist[0] = 0
         parent = [-1] * nodes
@@ -147,8 +144,6 @@ def solve_min_cost_k_flow(net: FlowNetwork, weight_u: list[int], k: int) -> list
                         dist[v] = nd
                         parent[v] = e
                         heapq.heappush(heap, (nd, v))
-        if dist[sink] == INF:
-            raise InternalInvariantViolation("sink unreachable; cannot route k units")
         for v in range(nodes):
             if dist[v] == INF:
                 raise InternalInvariantViolation(f"node {v} unreachable during augmentation")
@@ -219,7 +214,7 @@ def solve_mwkc(inst: IntervalInstance, k: int) -> KcolourSolution:
     net = build_network(cs, inst, k)
     pi = compute_pi(net)
     weight_u = transform_weights(net, pi)
-    flow = solve_min_cost_k_flow(net, weight_u, k)
+    flow = solve_min_cost_k_flow(net, weight_u)
     sol = extract_solution(flow, net, inst)
     cost_u = sum(wu * f for wu, f in zip(weight_u, flow))
     if sol.total_weight != k * pi[0] - cost_u:

@@ -139,13 +139,15 @@ def residual_bellman_ford(net, weight_u, flow) -> list[float]:
     return dist
 
 
-def check_flow_rounds(net, weight_u, k) -> list[int]:
-    """Run the solver for 1..k rounds; each round must add exactly the
+def check_flow_rounds(net, weight_u) -> list[int]:
+    """Run the solver for 1..net.k rounds; each round must add exactly the
     Bellman-Ford shortest path cost of the residual graph it started from.
-    Returns the k-round flow."""
+    Round j runs on a copy of net with k = j: before round i <= j a c-arc
+    carries at most i - 1 < j units, so the lower capacity closes no edge.
+    Returns the net.k-round flow."""
     prev = [0] * len(net.arcs)
-    for j in range(1, k + 1):
-        flow = solve_min_cost_k_flow(net, weight_u, j)
+    for j in range(1, net.k + 1):
+        flow = solve_min_cost_k_flow(net._replace(k=j), weight_u)
         step = flow_cost(weight_u, flow) - flow_cost(weight_u, prev)
         assert step == residual_bellman_ford(net, weight_u, prev)[net.r], f"round {j}"
         prev = flow
@@ -158,7 +160,7 @@ def solve_checked(inst: IntervalInstance, k: int):
     sol = solve_mwkc(inst, k)
     net = build_network(enumerate_maximal_cliques(inst), inst, k)
     weight_u = transform_weights(net, compute_pi(net))
-    assert flow_cost([w for _, _, w in net.arcs], check_flow_rounds(net, weight_u, k)) \
+    assert flow_cost([w for _, _, w in net.arcs], check_flow_rounds(net, weight_u)) \
         == sol.total_weight
     return sol
 

@@ -185,7 +185,7 @@ def test_acceptance_5_structural_invariants(capsys):
                 pi = compute_pi(net)
                 weight_u = transform_weights(net, pi)
                 assert all(0 <= wu <= pi[0] for wu in weight_u)
-                flow = solve_min_cost_k_flow(net, weight_u, k)
+                flow = solve_min_cost_k_flow(net, weight_u)
                 weight_n = flow_cost([w for _, _, w in net.arcs], flow)
                 assert weight_n + flow_cost(weight_u, flow) == k * pi[0]
                 sol = solve_mwkc(inst, k)

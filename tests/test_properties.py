@@ -113,7 +113,7 @@ def test_flow_costs_telescope(inst, k):
     pi = compute_pi(net)
     weight_u = transform_weights(net, pi)
     assert all(0 <= wu <= pi[0] for wu in weight_u)
-    flow = check_flow_rounds(net, weight_u, k)
+    flow = check_flow_rounds(net, weight_u)
     weight_n = flow_cost([w for _, _, w in net.arcs], flow)
     assert weight_n + flow_cost(weight_u, flow) == k * pi[0]
     balance = [0] * net.node_count
@@ -123,6 +123,17 @@ def test_flow_costs_telescope(inst, k):
         balance[head] -= f
     assert balance[0] == k and balance[-1] == -k
     assert all(b == 0 for b in balance[1:-1])
+
+
+@settings(max_examples=100, deadline=None)
+@given(inst=instances())
+def test_pi_is_tight(inst):
+    # pi[i] is the best out-arc of node i, not merely an upper bound on each
+    net = build_network(enumerate_maximal_cliques(inst), inst, 1)
+    pi = compute_pi(net)
+    for i in range(net.r):
+        assert pi[i] == max(w + pi[head] for tail, head, w in net.arcs if tail == i)
+    assert pi[net.r] == 0
 
 
 @settings(max_examples=100, deadline=None)

@@ -53,6 +53,29 @@ def test_parse_csv_accepts_bytes_and_blank_lines():
     assert parse_schedule(b"\n \n" + src, "csv") == sched
 
 
+def test_parse_csv_bare_cr_line_endings():
+    lf = "channel,title,start,end,viewers\nA,x,01:00,02:00,1\n"
+    cr = "channel,title,start,end,viewers\rA,x,01:00,02:00,1\r"
+    assert parse_schedule(cr, "csv") == parse_schedule(lf, "csv")
+    assert parse_schedule(lf.replace("\n", "\r\n"), "csv") == parse_schedule(lf, "csv")
+
+
+_BOM_SOURCES = {
+    "csv": "channel,title,start,end,viewers\nA,x,01:00,02:00,1\n",
+    "json": '{"slots": [{"channel": "A", "title": "x", "start": "01:00", "end": "02:00",'
+            ' "viewers": 1}]}',
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("bom", ["", "\ufeff"], ids=["plain", "bom"])
+def test_parse_str_and_bytes_drop_one_leading_bom(fmt, bom):
+    text = bom + _BOM_SOURCES[fmt]
+    expected = (ProgrammeSlot("A", "x", 60, 120, 1),)
+    assert parse_schedule(text, fmt) == expected
+    assert parse_schedule(text.encode(), fmt) == expected
+
+
 def test_parse_csv_empty_input_is_empty_schedule():
     assert len(parse_schedule("", "csv")) == 0
 
@@ -72,6 +95,10 @@ def test_parse_csv_empty_input_is_empty_schedule():
     ('channel,title,start,end,viewers\nA,"x\ny",01:00,02:00,1\nB,z,01:00\n', "line 4: expected 5"),
     ('channel,title,start,end,viewers\nA,"x\ny",01:00,02:00,1\nB,"x\ny",03:00,04:00,1\n',
      "line 4: duplicate"),
+    # CRLF keeps the count: the quoted title still spans lines 2-3
+    ('channel,title,start,end,viewers\r\nA,"x\r\ny",01:00,02:00,1\r\nB,z,01:00\r\n',
+     "line 4: expected 5"),
+    ("channel,title,start,end,viewers\rA,x,01:00\r", "line 2: expected 5"),
     ("channel,title,start,end,viewers\nA,x,25:00,26:00,1\n", "time"),
     ("channel,title,start,end,viewers\nA,,01:00,02:00,1\n", "title"),
 ])

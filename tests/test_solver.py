@@ -115,7 +115,7 @@ def test_solve_k_flow_demo10(demo10):
     net = _network(demo10, 2)
     pi = compute_pi(net)
     weight_u = transform_weights(net, pi)
-    flow = check_flow_rounds(net, weight_u, 2)
+    flow = check_flow_rounds(net, weight_u)
     assert flow == DEMO10_FLOW_K2
     cost_u = flow_cost(weight_u, flow)
     weight_n = flow_cost([w for _, _, w in net.arcs], flow)
@@ -129,14 +129,40 @@ def test_solve_k1_flow_has_zero_cost(demo10):
     # one unit of flow can follow the longest path exactly
     net = _network(demo10, 1)
     weight_u = transform_weights(net, compute_pi(net))
-    flow = solve_min_cost_k_flow(net, weight_u, 1)
+    flow = solve_min_cost_k_flow(net, weight_u)
     assert flow_cost(weight_u, flow) == 0
     assert flow_cost([w for _, _, w in net.arcs], flow) == 20
 
 
+def test_solve_k_flow_unreachable_sink_is_invariant_violation():
+    # the second c-arc points backwards, so no path reaches the sink (node 2);
+    # the per-node reachability check reports it
+    net = FlowNetwork(r=2, k=1, arcs=((0, 1, 0), (2, 1, 0)))
+    with pytest.raises(InternalInvariantViolation, match="node 2 unreachable"):
+        solve_min_cost_k_flow(net, [0, 0])
+
+
+@pytest.mark.parametrize("changes,match", [
+    ({3: 0}, "conservation"),  # a unit taken off a used c-arc
+    ({9: 1}, "conservation"),  # a unit put on vertex 3's unused i-arc
+    ({6: 2}, "conservation"),  # vertex 0's used i-arc set to 2
+    # both units take vertex 0's i-arc (id 6), then the c-arcs 1..5 to the sink
+    ({a: 0 for a in range(7, 16)} | {a: 2 for a in range(1, 7)}, "selected twice"),
+    # a third unit along all six c-arcs
+    ({a: DEMO10_FLOW_K2[a] + 1 for a in range(6)}, "not fully decomposed"),
+])
+def test_extract_solution_rejects_corrupted_flow(demo10, changes, match):
+    net = _network(demo10, 2)
+    flow = list(DEMO10_FLOW_K2)
+    for arc, units in changes.items():
+        flow[arc] = units
+    with pytest.raises(InternalInvariantViolation, match=match):
+        extract_solution(flow, net, demo10)
+
+
 def test_extract_solution_demo10(demo10):
     net = _network(demo10, 2)
-    flow = solve_min_cost_k_flow(net, transform_weights(net, compute_pi(net)), 2)
+    flow = solve_min_cost_k_flow(net, transform_weights(net, compute_pi(net)))
     sol = extract_solution(flow, net, demo10)
     assert sol.k == 2
     assert sol.total_weight == 34
