@@ -13,7 +13,8 @@ which flows are optimal).
 
 from __future__ import annotations
 
-import heapq
+from bisect import insort
+from heapq import heappop, heappush
 from typing import NamedTuple
 
 from .intervals import CliqueSequence, enumerate_maximal_cliques
@@ -101,59 +102,81 @@ def solve_min_cost_k_flow(net: FlowNetwork, weight_u: list[int]) -> list[int]:
     """Route net.k units from source to sink at minimum transformed cost
     and return the flow on each arc.
 
-    Successive shortest paths with node potentials: net.k rounds of Dijkstra
-    on reduced costs, one unit augmented per round. Initial potentials of
-    zero are valid because every weight_U is non-negative. The all-c-arc
-    chain keeps every node reachable in every round (c-arc flow is at most
-    the number of finished rounds, which is below the capacity net.k), so a
-    node left unreached, the sink included, is an InternalInvariantViolation.
+    Successive shortest paths, one unit augmented per round. The residual
+    graph lives in parallel lists: arc a is edge 2a forward and edge 2a+1
+    backward, and pushing a unit along edge e moves one unit of residual
+    capacity from e to e ^ 1. live[u] holds u's edges with residual capacity
+    in ascending id, the order in which a search scans them.
 
-    The residual graph lives in parallel lists: arc a is edge 2a forward and
-    edge 2a+1 backward, and pushing a unit along edge e moves one unit of
-    residual capacity from e to e ^ 1.
+    Round 1 is one forward pass in node order, which is topological, over
+    forward edges only. Its augmenting path is Dijkstra's: the path costs 0
+    (pi is tight), so its nodes have distance 0; Dijkstra pops those in
+    ascending index, and with a strict < both searches keep the first
+    predecessor in index order, then its first edge in id order. Later
+    rounds run Dijkstra on reduced costs against the potentials phi, the
+    previous round's true distances. Heap keys reduced_dist * nodes + v
+    order like (reduced_dist, v); a key that is not the last one pushed for
+    its node is stale, as every push strictly lowers dist[v]. The all-c-arc
+    chain keeps every node reachable in every round (c-arc flow is at most
+    the number of finished rounds, below the capacity net.k), so a node
+    left unreached, the sink included, is an InternalInvariantViolation.
     """
     nodes = net.node_count
-    sink = net.r
     to: list[int] = []
     cost: list[int] = []
     residual: list[int] = []
-    adj: list[list[int]] = [[] for _ in range(nodes)]
+    live: list[list[int]] = [[] for _ in range(nodes)]
     for a, ((tail, head, _), wu) in enumerate(zip(net.arcs, weight_u)):
         to += (head, tail)
         cost += (wu, -wu)
         residual += (net.k if a < net.r else 1, 0)
-        adj[tail].append(2 * a)
-        adj[head].append(2 * a + 1)
-    phi = [0] * nodes
+        live[tail].append(2 * a)
 
-    for _ in range(net.k):
+    for rnd in range(net.k):
         dist: list[float] = [INF] * nodes
         dist[0] = 0
         parent = [-1] * nodes
-        heap: list[tuple[float, int]] = [(0, 0)]
-        while heap:
-            d, u = heapq.heappop(heap)
-            if d > dist[u]:
-                continue
-            base = d + phi[u]
-            for e in adj[u]:
-                if residual[e]:
+        if not rnd:
+            for u, edges in enumerate(live):
+                base = dist[u]
+                for e in edges:
                     v = to[e]
-                    nd = base + cost[e] - phi[v]
-                    if nd < dist[v]:
-                        dist[v] = nd
+                    t = base + cost[e]
+                    if t < dist[v]:
+                        dist[v] = t
                         parent[v] = e
-                        heapq.heappush(heap, (nd, v))
-        for v in range(nodes):
-            if dist[v] == INF:
-                raise InternalInvariantViolation(f"node {v} unreachable during augmentation")
-            phi[v] += int(dist[v])
-        u = sink
-        while u != 0:
+        else:
+            last = [0] * nodes
+            heap = [0]
+            while heap:
+                key = heappop(heap)
+                u = key % nodes
+                if key != last[u]:
+                    continue
+                base = dist[u]
+                for e in live[u]:
+                    v = to[e]
+                    t = base + cost[e]
+                    if t < dist[v]:
+                        dist[v] = t
+                        parent[v] = e
+                        key = (t - phi[v]) * nodes + v
+                        last[v] = key
+                        heappush(heap, key)
+        if INF in dist:
+            raise InternalInvariantViolation(
+                f"node {dist.index(INF)} unreachable during augmentation")
+        phi = dist
+        u = net.r
+        while u:
             e = parent[u]
-            residual[e] -= 1
-            residual[e ^ 1] += 1
             u = to[e ^ 1]
+            residual[e] -= 1
+            if not residual[e]:
+                live[u].remove(e)
+            residual[e ^ 1] += 1
+            if residual[e ^ 1] == 1:
+                insort(live[to[e]], e ^ 1)
     return residual[1::2]
 
 
@@ -168,6 +191,8 @@ def extract_solution(flow: list[int], net: FlowNetwork,
     for a, (tail, _, _) in enumerate(net.arcs):
         out_arcs[tail].append(a)
     remaining = list(flow)
+    # cursor[u] skips u's used-up arcs for good, as remaining only falls
+    cursor = [0] * net.node_count
     vertices = inst.vertices
     classes: list[tuple[int, ...]] = []
     seen: set[int] = set()
@@ -175,9 +200,14 @@ def extract_solution(flow: list[int], net: FlowNetwork,
         u = 0
         members: list[int] = []
         while u != r:
-            arc = next((a for a in out_arcs[u] if remaining[a] > 0), None)
-            if arc is None:
+            arcs = out_arcs[u]
+            i = cursor[u]
+            while i < len(arcs) and remaining[arcs[i]] <= 0:
+                i += 1
+            if i == len(arcs):
                 raise InternalInvariantViolation(f"flow conservation broken at node {u}")
+            cursor[u] = i
+            arc = arcs[i]
             remaining[arc] -= 1
             if arc >= r:
                 members.append(arc - r)

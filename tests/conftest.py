@@ -3,15 +3,18 @@ that the real code is tested against."""
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import random
 from pathlib import Path
 
 import pytest
 
-from sessionpick import (IntervalInstance, Vertex, build_network, compute_pi,
-                         connected_components, enumerate_maximal_cliques,
-                         solve_min_cost_k_flow, solve_mwkc, transform_weights)
+from sessionpick import (FlowNetwork, IntervalInstance, InternalInvariantViolation,
+                         Vertex, build_network, compute_pi, connected_components,
+                         enumerate_maximal_cliques, solve_min_cost_k_flow, solve_mwkc,
+                         transform_weights)
+from sessionpick.solver import INF
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -137,6 +140,69 @@ def residual_bellman_ford(net, weight_u, flow) -> list[float]:
         if not changed:
             break
     return dist
+
+
+# The plain successive-shortest-paths loop: Dijkstra over every edge of
+# every node each round, with (dist, node) heap entries. The solver's
+# faster rounds must return exactly this flow, tie for tie.
+def reference_k_flow(net: FlowNetwork, weight_u: list[int]) -> list[int]:
+    """Route net.k units from source to sink at minimum transformed cost
+    and return the flow on each arc.
+
+    Successive shortest paths with node potentials: net.k rounds of Dijkstra
+    on reduced costs, one unit augmented per round. Initial potentials of
+    zero are valid because every weight_U is non-negative. The all-c-arc
+    chain keeps every node reachable in every round (c-arc flow is at most
+    the number of finished rounds, which is below the capacity net.k), so a
+    node left unreached, the sink included, is an InternalInvariantViolation.
+
+    The residual graph lives in parallel lists: arc a is edge 2a forward and
+    edge 2a+1 backward, and pushing a unit along edge e moves one unit of
+    residual capacity from e to e ^ 1.
+    """
+    nodes = net.node_count
+    sink = net.r
+    to: list[int] = []
+    cost: list[int] = []
+    residual: list[int] = []
+    adj: list[list[int]] = [[] for _ in range(nodes)]
+    for a, ((tail, head, _), wu) in enumerate(zip(net.arcs, weight_u)):
+        to += (head, tail)
+        cost += (wu, -wu)
+        residual += (net.k if a < net.r else 1, 0)
+        adj[tail].append(2 * a)
+        adj[head].append(2 * a + 1)
+    phi = [0] * nodes
+
+    for _ in range(net.k):
+        dist: list[float] = [INF] * nodes
+        dist[0] = 0
+        parent = [-1] * nodes
+        heap: list[tuple[float, int]] = [(0, 0)]
+        while heap:
+            d, u = heapq.heappop(heap)
+            if d > dist[u]:
+                continue
+            base = d + phi[u]
+            for e in adj[u]:
+                if residual[e]:
+                    v = to[e]
+                    nd = base + cost[e] - phi[v]
+                    if nd < dist[v]:
+                        dist[v] = nd
+                        parent[v] = e
+                        heapq.heappush(heap, (nd, v))
+        for v in range(nodes):
+            if dist[v] == INF:
+                raise InternalInvariantViolation(f"node {v} unreachable during augmentation")
+            phi[v] += int(dist[v])
+        u = sink
+        while u != 0:
+            e = parent[u]
+            residual[e] -= 1
+            residual[e ^ 1] += 1
+            u = to[e ^ 1]
+    return residual[1::2]
 
 
 def check_flow_rounds(net, weight_u) -> list[int]:

@@ -11,24 +11,32 @@ from sessionpick import (
     connected_components,
     enumerate_maximal_cliques,
     overlaps,
+    solve_min_cost_k_flow,
     solve_mwkc,
     transform_weights,
     verify_solution,
 )
 
 from conftest import (check_flow_rounds, flow_cost, make_instance, max_depth,
-                      per_component_total, solve_checked)
+                      per_component_total, reference_k_flow, solve_checked)
 
 
 @st.composite
-def instances(draw, max_n=12, max_coord=30, max_w=9):
+def instances(draw, max_n=12, max_coord=30, weights=st.integers(min_value=0, max_value=9)):
     n = draw(st.integers(min_value=1, max_value=max_n))
     triples = []
     for _ in range(n):
         s = draw(st.integers(min_value=0, max_value=max_coord - 1))
         f = draw(st.integers(min_value=s + 1, max_value=max_coord))
-        triples.append((s, f, draw(st.integers(min_value=0, max_value=max_w))))
+        triples.append((s, f, draw(weights)))
     return make_instance(triples)
+
+
+# few coordinates and few distinct weights: many equal-cost paths, so the
+# flow depends on every tie rule of the search
+tie_heavy = st.sampled_from((26, 60)).flatmap(
+    lambda max_coord: instances(max_n=40, max_coord=max_coord,
+                                weights=st.sampled_from((0, 1, 2, 3, 5))))
 
 
 ks = st.integers(min_value=1, max_value=4)
@@ -123,6 +131,15 @@ def test_flow_costs_telescope(inst, k):
         balance[head] -= f
     assert balance[0] == k and balance[-1] == -k
     assert all(b == 0 for b in balance[1:-1])
+
+
+@settings(max_examples=300, deadline=None)
+@given(inst=tie_heavy, k=st.integers(min_value=1, max_value=12))
+def test_flow_equals_reference_on_ties(inst, k):
+    # not just an equal cost: the same optimum, arc for arc
+    net = build_network(enumerate_maximal_cliques(inst), inst, k)
+    weight_u = transform_weights(net, compute_pi(net))
+    assert solve_min_cost_k_flow(net, weight_u) == reference_k_flow(net, weight_u)
 
 
 @settings(max_examples=100, deadline=None)

@@ -28,6 +28,7 @@ from conftest import (
     flow_cost,
     make_instance,
     per_component_total,
+    reference_k_flow,
     solve_checked,
 )
 
@@ -132,6 +133,36 @@ def test_solve_k1_flow_has_zero_cost(demo10):
     flow = solve_min_cost_k_flow(net, weight_u)
     assert flow_cost(weight_u, flow) == 0
     assert flow_cost([w for _, _, w in net.arcs], flow) == 20
+
+
+@pytest.mark.parametrize("triples,k,expected", [
+    # identical intervals: vertex 0's i-arc is scanned first and wins
+    ([(0, 10, 5), (0, 10, 5)], 1, [0, 1, 0]),
+    # a weight-0 slot: the c-arc has the lower id and beats its parallel i-arc
+    ([(0, 10, 0)], 1, [1, 0]),
+    # round 1 takes vertex 2's i-arc (arc 5), round 2 cancels it, so its
+    # forward edge regains capacity and goes back into the search
+    ([(0, 3, 5), (4, 7, 5), (4, 5, 4), (1, 5, 6), (6, 8, 6)], 1, [0, 0, 0, 1, 0, 1, 0, 1]),
+    ([(0, 3, 5), (4, 7, 5), (4, 5, 4), (1, 5, 6), (6, 8, 6)], 2, [0, 0, 0, 1, 1, 0, 1, 1]),
+    # round 1 takes vertex 0's i-arc (arc 3), round 2 cancels it, and round
+    # 3 takes it again over its identical twin, vertex 1's arc 4: the
+    # returning edge must regain its place in id order, not join the end
+    ([(2, 3, 1), (2, 3, 1), (0, 3, 2), (2, 4, 5), (0, 2, 5), (3, 4, 5)], 3,
+     [1, 0, 1, 1, 0, 1, 1, 1, 1]),
+])
+def test_solve_k_flow_tie_cases(triples, k, expected):
+    inst = make_instance(triples)
+    net = _network(inst, k)
+    assert solve_min_cost_k_flow(net, transform_weights(net, compute_pi(net))) == expected
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_solve_k_flow_equals_reference_on_fixtures(demo10, three_channels_csv, k):
+    three = to_intervals(parse_schedule(three_channels_csv.read_text(), "csv"))
+    for inst in (demo10, three):
+        net = _network(inst, k)
+        weight_u = transform_weights(net, compute_pi(net))
+        assert solve_min_cost_k_flow(net, weight_u) == reference_k_flow(net, weight_u)
 
 
 def test_solve_k_flow_unreachable_sink_is_invariant_violation():
