@@ -150,7 +150,7 @@ def _cmd_network(args: argparse.Namespace) -> int:
 
 def _solution_payload(sol: KcolourSolution, schedule: tuple[ProgrammeSlot, ...],
                       inst: IntervalInstance) -> dict:
-    slot_by_id = {slot.slot_id: slot for slot in schedule}
+    slot_by_id = {slot.title: slot for slot in schedule}
     assert inst.provenance is not None
     sessions = []
     for members in sol.classes:
@@ -160,7 +160,7 @@ def _solution_payload(sol: KcolourSolution, schedule: tuple[ProgrammeSlot, ...],
             slot = slot_by_id[inst.provenance[vid]]
             weight += slot.viewers
             slots.append({
-                "slot_id": slot.slot_id, "channel": slot.channel, "title": slot.title,
+                "slot_id": slot.title, "channel": slot.channel, "title": slot.title,
                 "start": format_time(slot.start), "end": format_time(slot.end),
                 "viewers": slot.viewers,
             })

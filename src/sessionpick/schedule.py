@@ -11,27 +11,30 @@ from __future__ import annotations
 import csv
 import io
 import json
-import re
+from operator import itemgetter
 from typing import NamedTuple
 
 MINUTES_PER_DAY = 1440
 
 CSV_HEADER = ["channel", "title", "start", "end", "viewers"]
+_BY_START_END_ID = itemgetter(2, 3, 1)  # a ProgrammeSlot's (start, end, slot_id)
 
 
 class ScheduleError(ValueError):
     """Raised when input data cannot be parsed into a schedule."""
 
 
-_TIME = re.compile(r"([0-9]{1,2}):([0-5][0-9])")
+# every accepted spelling, H:MM and HH:MM up to 24:00, to its minutes since 00:00
+_TIMES = {f"{hh}:{m:02d}": h * 60 + m for h in range(25) for hh in {str(h), f"{h:02d}"}
+          for m in range(60) if h * 60 + m <= MINUTES_PER_DAY}
 
 
 def parse_time(text: str) -> int:
     """Minutes since 00:00 of an H:MM or HH:MM time in ASCII digits, up to 24:00."""
-    match = _TIME.fullmatch(text.strip())
-    if match is None or (minutes := int(match[1]) * 60 + int(match[2])) > MINUTES_PER_DAY:
-        raise ValueError(f"bad time {text!r}, expected HH:MM up to 24:00")
-    return minutes
+    try:
+        return _TIMES[text.strip()]
+    except KeyError:
+        raise ValueError(f"bad time {text!r}, expected HH:MM up to 24:00") from None
 
 
 def format_time(minutes: int) -> str:
@@ -72,7 +75,7 @@ class IntervalInstance:
 
     def __init__(self, vertices: tuple[Vertex, ...],
                  provenance: dict[int, str] | None = None) -> None:
-        ordered = tuple(sorted(vertices, key=lambda v: v.vertex_id))
+        ordered = tuple(sorted(vertices, key=itemgetter(0)))  # by vertex_id
         if [v.vertex_id for v in ordered] != list(range(len(ordered))):
             raise ValueError("vertex ids must be dense 0..n-1")
         for v in ordered:
@@ -232,20 +235,20 @@ def validate_schedule(s: tuple[ProgrammeSlot, ...]) -> list[ValidationIssue]:
     for slot in s:
         if slot.start >= slot.end:
             issues.append(ValidationIssue(
-                "ERROR", (slot.slot_id,),
-                f"slot {slot.slot_id!r} has start {format_time(slot.start)} "
+                "ERROR", (slot.title,),
+                f"slot {slot.title!r} has start {format_time(slot.start)} "
                 f">= end {format_time(slot.end)}"))
         else:
             by_channel.setdefault(slot.channel, []).append(slot)
     for channel in sorted(by_channel):
-        group = sorted(by_channel[channel], key=lambda sl: (sl.start, sl.end, sl.slot_id))
+        group = sorted(by_channel[channel], key=_BY_START_END_ID)
         active: list[ProgrammeSlot] = []
         for slot in group:
             active = [a for a in active if a.end > slot.start]
             for other in active:
                 issues.append(ValidationIssue(
-                    "WARNING", (other.slot_id, slot.slot_id),
-                    f"channel {channel!r}: slots {other.slot_id!r} and {slot.slot_id!r} overlap"))
+                    "WARNING", (other.title, slot.title),
+                    f"channel {channel!r}: slots {other.title!r} and {slot.title!r} overlap"))
             active.append(slot)
     return issues
 
@@ -258,18 +261,15 @@ def to_intervals(s: tuple[ProgrammeSlot, ...],
     compared to keeping them at weight zero. Vertex ids are assigned in
     (start, end, slot_id) order.
     """
-    known = {slot.slot_id for slot in s}
-    unknown = set(excluded) - known
+    unknown = set(excluded) - {slot.title for slot in s}
     if unknown:
         raise ValueError(f"excluded slot ids not in schedule: {', '.join(sorted(unknown))}")
-    kept = [slot for slot in s if slot.slot_id not in excluded]
+    kept = [slot for slot in s if slot.title not in excluded]
     for slot in kept:
         if slot.start >= slot.end:
-            raise ValueError(f"slot {slot.slot_id!r} has start >= end; validate first")
-    kept.sort(key=lambda sl: (sl.start, sl.end, sl.slot_id))
-    vertices = tuple(
-        Vertex(i, sl.start, sl.end, sl.viewers)
-        for i, sl in enumerate(kept)
-    )
-    provenance = {i: sl.slot_id for i, sl in enumerate(kept)}
+            raise ValueError(f"slot {slot.title!r} has start >= end; validate first")
+    kept.sort(key=_BY_START_END_ID)
+    vertices = tuple(Vertex(i, start, end, viewers)
+                     for i, (_, _, start, end, viewers) in enumerate(kept))
+    provenance = {i: sl.title for i, sl in enumerate(kept)}
     return IntervalInstance(vertices, provenance)

@@ -6,6 +6,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -14,6 +15,7 @@ from sessionpick import (FlowNetwork, IntervalInstance, InternalInvariantViolati
                          Vertex, build_network, compute_pi, connected_components,
                          enumerate_maximal_cliques, solve_min_cost_k_flow, solve_mwkc,
                          transform_weights)
+from sessionpick.schedule import MINUTES_PER_DAY
 from sessionpick.solver import INF
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -56,6 +58,19 @@ def demo10_csv() -> Path:
 @pytest.fixture
 def three_channels_csv() -> Path:
     return FIXTURES / "three_channels.csv"
+
+
+# The time grammar as a regex: parse_time's lookup table must accept,
+# reject and word its errors exactly like this on every input.
+_TIME = re.compile(r"([0-9]{1,2}):([0-5][0-9])")
+
+
+def reference_parse_time(text: str) -> int:
+    """Minutes since 00:00 of an H:MM or HH:MM time in ASCII digits, up to 24:00."""
+    match = _TIME.fullmatch(text.strip())
+    if match is None or (minutes := int(match[1]) * 60 + int(match[2])) > MINUTES_PER_DAY:
+        raise ValueError(f"bad time {text!r}, expected HH:MM up to 24:00")
+    return minutes
 
 
 def make_instance(triples) -> IntervalInstance:

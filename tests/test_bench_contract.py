@@ -20,3 +20,17 @@ def test_bench_worker_runs_clean(mode):
     record = json.loads(proc.stdout.splitlines()[-1])
     assert record["attempted"] > 0
     assert record["failed"] == 0, record["failures"]
+
+
+def test_bench_day_cli_answers_unchanged():
+    """The whole CSV path (parse, validate, to_intervals, solve, output) on
+    the seed-0 day-cli days gives the answers every change has reproduced."""
+    proc = subprocess.run(
+        [sys.executable, str(WORKER), "run", "day-cli", "0", "0.5"],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    record = json.loads(proc.stdout.splitlines()[-1])
+    assert record["failed"] == 0, record["failures"]
+    assert record["golden_checked"]
+    assert record["answers_digest"] == (
+        "02a0bbaee1ec6cee5f648df9d638529bfdc6f6465c6740ea810df7575a6f5ccc")

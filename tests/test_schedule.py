@@ -1,7 +1,8 @@
+import itertools
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sessionpick import (
@@ -15,6 +16,8 @@ from sessionpick import (
     validate_schedule,
 )
 from sessionpick.schedule import format_time, parse_time
+
+from conftest import reference_parse_time
 
 
 def test_timepoint_parse():
@@ -31,6 +34,44 @@ def test_timepoint_parse():
 def test_timepoint_rejects_garbage(text):
     with pytest.raises(ValueError, match="bad time .* expected HH:MM"):
         parse_time(text)
+
+
+def _time_outcome(parse, text):
+    try:
+        return parse(text)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_parse_time_matches_reference_on_every_short_string():
+    checked = accepted = 0
+    for length in range(6):
+        for chars in itertools.product("0123456789:", repeat=length):
+            text = "".join(chars)
+            outcome = _time_outcome(parse_time, text)
+            assert outcome == _time_outcome(reference_parse_time, text), text
+            checked += 1
+            accepted += isinstance(outcome, int)
+    assert (checked, accepted) == (177156, 2041)
+
+
+_padding = st.text(alphabet=" \t\n\r\x0b\x0c\x1c\u00a0\u2003", max_size=3)
+_time_like = st.one_of(
+    st.text(),
+    st.text(alphabet="0123456789:\t \u00a0\u0663\u00b2", max_size=6),
+    st.from_regex(r"[0-9]{1,2}:[0-9]{2}", fullmatch=True),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(lead=_padding, core=_time_like, trail=_padding)
+@example(lead="\t", core="09:30", trail="\u00a0")
+@example(lead="", core="\u0663:00", trail="")
+@example(lead="", core="\u00b2:00", trail="")
+@example(lead=" ", core="24:00", trail="\n")
+def test_parse_time_matches_reference(lead, core, trail):
+    text = lead + core + trail
+    assert _time_outcome(parse_time, text) == _time_outcome(reference_parse_time, text)
 
 
 def test_parse_csv_single_row():
@@ -101,6 +142,15 @@ def test_parse_csv_empty_input_is_empty_schedule():
     ("channel,title,start,end,viewers\rA,x,01:00\r", "line 2: expected 5"),
     ("channel,title,start,end,viewers\nA,x,25:00,26:00,1\n", "time"),
     ("channel,title,start,end,viewers\nA,,01:00,02:00,1\n", "title"),
+    # two faults in one row (or two rows): the message names the one checked first
+    ("channel,title,start,end,viewers\nA,x,1:5,02:00,x1\n",
+     "line 2: viewers 'x1' is not a non-negative integer"),
+    ("channel,title,start,end,viewers\n ,x,1:5,02:00,1\n", "line 2: empty channel name"),
+    ("channel,title,start,end,viewers\nA, ,01:00,25:00,1\n", "line 2: empty title"),
+    ("channel,title,start,end,viewers\nA,x,1:5,25:00,1\n",
+     "line 2: bad time '1:5', expected HH:MM up to 24:00"),
+    ("channel,title,start,end,viewers\nA,x,01:00,02:00,1\nB,x,01:00,2:0,1\n",
+     "line 3: bad time '2:0', expected HH:MM up to 24:00"),
 ])
 def test_parse_csv_errors(src, fragment):
     with pytest.raises(ScheduleError) as exc:
@@ -127,6 +177,17 @@ def test_parse_json_basic():
 def test_parse_json_errors(payload):
     with pytest.raises(ScheduleError):
         parse_schedule(payload, "json")
+
+
+@pytest.mark.parametrize("slot,message", [
+    # a negative viewers count is checked before the bad start time
+    ({"channel": "A", "title": "x", "start": "1:5", "end": "02:00", "viewers": -1},
+     "slot 0: viewers must be >= 0, got -1"),
+])
+def test_parse_json_error_messages(slot, message):
+    with pytest.raises(ScheduleError) as exc:
+        parse_schedule(json.dumps({"slots": [slot]}), "json")
+    assert str(exc.value) == message
 
 
 def test_parse_unknown_format():
