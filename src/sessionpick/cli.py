@@ -44,7 +44,7 @@ def _read_input(args: argparse.Namespace) -> tuple[ProgrammeSlot, ...]:
 
 
 def _excluded(args: argparse.Namespace) -> frozenset[str]:
-    if not getattr(args, "exclude", None):
+    if not args.exclude:
         return frozenset()
     return frozenset(part.strip() for part in args.exclude.split(",") if part.strip())
 
@@ -75,7 +75,7 @@ def _checked_instance(
 def _emit(payload: dict | str, args: argparse.Namespace) -> None:
     """Write a JSON payload, or text as it is, to --output or stdout."""
     text = payload if isinstance(payload, str) else json.dumps(payload, indent=2) + "\n"
-    if getattr(args, "output", None):
+    if args.output:
         try:
             Path(args.output).write_text(text)
         except OSError as exc:

@@ -101,34 +101,31 @@ class ValidationIssue(NamedTuple):
     message: str
 
 
-def _parse_viewers(text: str, where: str) -> int:
+def _parse_viewers(text: str) -> int:
     digits = text.strip()
     try:
         if digits.isascii() and digits.isdigit():
             return int(digits)
     except ValueError:  # longer than int()'s digit limit
         pass
-    raise ScheduleError(f"{where}: viewers {text!r} is not a non-negative integer")
+    raise ScheduleError(f"viewers {text!r} is not a non-negative integer")
 
 
 def _make_slot(channel: str, title: str, start: str, end: str, viewers: int,
-               where: str, seen: set[str]) -> ProgrammeSlot:
-    """where ("line N" or "slot i") leads every message."""
+               seen: set[str]) -> ProgrammeSlot:
+    """Raises a ValueError that the caller prefixes with the slot's place."""
     channel = channel.strip()
     title = title.strip()
     if not channel:
-        raise ScheduleError(f"{where}: empty channel name")
+        raise ScheduleError("empty channel name")
     if not title:
-        raise ScheduleError(f"{where}: empty title")
+        raise ScheduleError("empty title")
     if viewers < 0:
-        raise ScheduleError(f"{where}: viewers must be >= 0, got {viewers}")
-    try:
-        start_min = parse_time(start)
-        end_min = parse_time(end)
-    except ValueError as exc:
-        raise ScheduleError(f"{where}: {exc}") from None
+        raise ScheduleError(f"viewers must be >= 0, got {viewers}")
+    start_min = parse_time(start)
+    end_min = parse_time(end)
     if title in seen:
-        raise ScheduleError(f"{where}: duplicate slot_id {title!r}")
+        raise ScheduleError(f"duplicate slot_id {title!r}")
     seen.add(title)
     return ProgrammeSlot(channel, title, start_min, end_min, viewers)
 
@@ -169,12 +166,13 @@ def _parse_csv(text: str) -> tuple[ProgrammeSlot, ...]:
     slots: list[ProgrammeSlot] = []
     seen: set[str] = set()
     for i, row in body:
-        where = f"line {i}"
         if len(row) != 5:
-            raise ScheduleError(f"{where}: expected 5 fields, got {len(row)}")
+            raise ScheduleError(f"line {i}: expected 5 fields, got {len(row)}")
         channel, title, start, end, viewers = row
-        slots.append(_make_slot(channel, title, start, end, _parse_viewers(viewers, where),
-                                where, seen))
+        try:
+            slots.append(_make_slot(channel, title, start, end, _parse_viewers(viewers), seen))
+        except ValueError as exc:
+            raise ScheduleError(f"line {i}: {exc}") from None
     return tuple(slots)
 
 
@@ -188,20 +186,22 @@ def _parse_json(text: str) -> tuple[ProgrammeSlot, ...]:
     slots: list[ProgrammeSlot] = []
     seen: set[str] = set()
     for i, rec in enumerate(data["slots"]):
-        where = f"slot {i}"
         if not isinstance(rec, dict):
-            raise ScheduleError(f"{where} is not an object")
+            raise ScheduleError(f"slot {i} is not an object")
         missing = [k for k in CSV_HEADER if k not in rec]
         if missing:
-            raise ScheduleError(f"{where} missing fields: {', '.join(missing)}")
+            raise ScheduleError(f"slot {i} missing fields: {', '.join(missing)}")
         viewers = rec["viewers"]
         if isinstance(viewers, bool) or not isinstance(viewers, int):
-            raise ScheduleError(f"{where}: viewers must be an integer")
+            raise ScheduleError(f"slot {i}: viewers must be an integer")
         for key in ("channel", "title", "start", "end"):
             if not isinstance(rec[key], str):
-                raise ScheduleError(f"{where}: {key} must be a string")
-        slots.append(_make_slot(rec["channel"], rec["title"], rec["start"],
-                                rec["end"], viewers, where, seen))
+                raise ScheduleError(f"slot {i}: {key} must be a string")
+        try:
+            slots.append(_make_slot(rec["channel"], rec["title"], rec["start"],
+                                    rec["end"], viewers, seen))
+        except ValueError as exc:
+            raise ScheduleError(f"slot {i}: {exc}") from None
     return tuple(slots)
 
 

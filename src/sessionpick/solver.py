@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from bisect import insort
 from heapq import heappop, heappush
+from itertools import compress, islice
 from typing import NamedTuple
 
 from .intervals import CliqueSequence, enumerate_maximal_cliques
@@ -183,59 +184,49 @@ def solve_min_cost_k_flow(net: FlowNetwork, weight_u: list[int]) -> list[int]:
 def extract_solution(flow: list[int], net: FlowNetwork,
                      inst: IntervalInstance) -> KcolourSolution:
     """Decompose the flow into k source-to-sink paths and read the sessions
-    off them: the i-arcs of each path form one colour class, sorted by start
-    time; classes come out heaviest first. A c-arc carrying f units simply
-    gets walked f times."""
+    off them: the i-arcs of each path form one colour class, heaviest class
+    first. At node u a path takes c-arc u while it has units left, else the
+    lowest-id i-arc out of u with units left, which is the first arc out of
+    u in id order that carries flow. Each i-arc on a path leaves at or after
+    the previous one's head, so the two vertices share no clique and the
+    later one starts after the earlier one ends: no class needs a sort."""
     r = net.r
-    out_arcs: list[list[int]] = [[] for _ in range(net.node_count)]
-    for a, (tail, _, _) in enumerate(net.arcs):
-        out_arcs[tail].append(a)
-    remaining = list(flow)
-    # cursor[u] skips u's used-up arcs for good, as remaining only falls
-    cursor = [0] * net.node_count
+    idle = flow[:r]  # units left on c-arc u, which runs u -> u + 1
+    # carried[u]: the i-arcs out of u, in id order, once per unit of flow
+    carried: list[list[int]] = [[] for _ in range(r)]
+    for a in compress(range(r, len(flow)), islice(flow, r, None)):
+        carried[net.arcs[a][0]] += [a] * flow[a]
     vertices = inst.vertices
-    classes: list[tuple[int, ...]] = []
+    keyed: list[tuple[int, int, tuple[int, ...]]] = []  # (-weight, first start, class)
     seen: set[int] = set()
     for _ in range(net.k):
-        u = 0
+        u = weight = 0
         members: list[int] = []
         while u != r:
-            arcs = out_arcs[u]
-            i = cursor[u]
-            while i < len(arcs) and remaining[arcs[i]] <= 0:
-                i += 1
-            if i == len(arcs):
+            if idle[u] > 0:
+                idle[u] -= 1
+                u += 1
+            elif carried[u]:
+                a = carried[u].pop(0)
+                members.append(a - r)
+                weight += vertices[a - r].w
+                u = net.arcs[a][1]
+            else:
                 raise InternalInvariantViolation(f"flow conservation broken at node {u}")
-            cursor[u] = i
-            arc = arcs[i]
-            remaining[arc] -= 1
-            if arc >= r:
-                members.append(arc - r)
-            u = net.arcs[arc][1]
         for vid in members:
             if vid in seen:
                 raise InternalInvariantViolation(f"vertex {vid} selected twice")
             seen.add(vid)
-        ordered = sorted(members, key=lambda vid: (vertices[vid].s, vertices[vid].f))
-        for a, b in zip(ordered, ordered[1:]):
-            # i-arcs along one path cannot overlap: the earlier arc's head is
-            # at or before the later arc's tail, so their clique runs are
-            # disjoint and so are the intervals
+        for a, b in zip(members, members[1:]):
             if vertices[b].s < vertices[a].f:
                 raise InternalInvariantViolation(
                     f"vertices {a} and {b} overlap inside one class")
-        classes.append(tuple(ordered))
-    if any(remaining):
+        keyed.append((-weight, vertices[members[0]].s if members else 1 << 60, tuple(members)))
+    if any(idle) or any(carried) or min(flow) < 0:
         raise InternalInvariantViolation("flow not fully decomposed by k paths")
-    total = sum(vertices[vid].w for vid in seen)
-
-    def class_key(members: tuple[int, ...]) -> tuple[int, int, tuple[int, ...]]:
-        weight = sum(vertices[vid].w for vid in members)
-        first = vertices[members[0]].s if members else 1 << 60
-        return (-weight, first, members)
-
-    classes.sort(key=class_key)
-    return KcolourSolution(net.k, frozenset(seen), tuple(classes), total)
+    keyed.sort()
+    return KcolourSolution(net.k, frozenset(seen), tuple(c for _, _, c in keyed),
+                           -sum(w for w, _, _ in keyed))
 
 
 def solve_mwkc(inst: IntervalInstance, k: int) -> KcolourSolution:

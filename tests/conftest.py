@@ -12,9 +12,9 @@ from pathlib import Path
 import pytest
 
 from sessionpick import (FlowNetwork, IntervalInstance, InternalInvariantViolation,
-                         Vertex, build_network, compute_pi, connected_components,
-                         enumerate_maximal_cliques, solve_min_cost_k_flow, solve_mwkc,
-                         transform_weights)
+                         KcolourSolution, Vertex, build_network, compute_pi,
+                         connected_components, enumerate_maximal_cliques,
+                         solve_min_cost_k_flow, solve_mwkc, transform_weights)
 from sessionpick.schedule import MINUTES_PER_DAY
 from sessionpick.solver import INF
 
@@ -218,6 +218,68 @@ def reference_k_flow(net: FlowNetwork, weight_u: list[int]) -> list[int]:
             residual[e ^ 1] += 1
             u = to[e ^ 1]
     return residual[1::2]
+
+
+# The decomposition by a cursor over a table of every arc, then a sort of
+# each class by start time. extract_solution, which walks only the arcs
+# that carry flow, must return exactly this solution and raise exactly
+# these errors.
+def reference_extract_solution(flow: list[int], net: FlowNetwork,
+                               inst: IntervalInstance) -> KcolourSolution:
+    """Decompose the flow into k source-to-sink paths and read the sessions
+    off them: the i-arcs of each path form one colour class, sorted by start
+    time; classes come out heaviest first. A c-arc carrying f units simply
+    gets walked f times."""
+    r = net.r
+    out_arcs: list[list[int]] = [[] for _ in range(net.node_count)]
+    for a, (tail, _, _) in enumerate(net.arcs):
+        out_arcs[tail].append(a)
+    remaining = list(flow)
+    # cursor[u] skips u's used-up arcs for good, as remaining only falls
+    cursor = [0] * net.node_count
+    vertices = inst.vertices
+    classes: list[tuple[int, ...]] = []
+    seen: set[int] = set()
+    for _ in range(net.k):
+        u = 0
+        members: list[int] = []
+        while u != r:
+            arcs = out_arcs[u]
+            i = cursor[u]
+            while i < len(arcs) and remaining[arcs[i]] <= 0:
+                i += 1
+            if i == len(arcs):
+                raise InternalInvariantViolation(f"flow conservation broken at node {u}")
+            cursor[u] = i
+            arc = arcs[i]
+            remaining[arc] -= 1
+            if arc >= r:
+                members.append(arc - r)
+            u = net.arcs[arc][1]
+        for vid in members:
+            if vid in seen:
+                raise InternalInvariantViolation(f"vertex {vid} selected twice")
+            seen.add(vid)
+        ordered = sorted(members, key=lambda vid: (vertices[vid].s, vertices[vid].f))
+        for a, b in zip(ordered, ordered[1:]):
+            # i-arcs along one path cannot overlap: the earlier arc's head is
+            # at or before the later arc's tail, so their clique runs are
+            # disjoint and so are the intervals
+            if vertices[b].s < vertices[a].f:
+                raise InternalInvariantViolation(
+                    f"vertices {a} and {b} overlap inside one class")
+        classes.append(tuple(ordered))
+    if any(remaining):
+        raise InternalInvariantViolation("flow not fully decomposed by k paths")
+    total = sum(vertices[vid].w for vid in seen)
+
+    def class_key(members: tuple[int, ...]) -> tuple[int, int, tuple[int, ...]]:
+        weight = sum(vertices[vid].w for vid in members)
+        first = vertices[members[0]].s if members else 1 << 60
+        return (-weight, first, members)
+
+    classes.sort(key=class_key)
+    return KcolourSolution(net.k, frozenset(seen), tuple(classes), total)
 
 
 def check_flow_rounds(net, weight_u) -> list[int]:

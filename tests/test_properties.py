@@ -4,12 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sessionpick import (
+    InternalInvariantViolation,
     brute_force_mwkc,
     build_network,
     compute_pi,
     compute_stats,
     connected_components,
     enumerate_maximal_cliques,
+    extract_solution,
     overlaps,
     solve_min_cost_k_flow,
     solve_mwkc,
@@ -18,7 +20,8 @@ from sessionpick import (
 )
 
 from conftest import (check_flow_rounds, flow_cost, make_instance, max_depth,
-                      per_component_total, reference_k_flow, solve_checked)
+                      per_component_total, reference_extract_solution, reference_k_flow,
+                      solve_checked)
 
 
 @st.composite
@@ -140,6 +143,43 @@ def test_flow_equals_reference_on_ties(inst, k):
     net = build_network(enumerate_maximal_cliques(inst), inst, k)
     weight_u = transform_weights(net, compute_pi(net))
     assert solve_min_cost_k_flow(net, weight_u) == reference_k_flow(net, weight_u)
+
+
+@settings(max_examples=300, deadline=None)
+@given(inst=tie_heavy, k=st.integers(min_value=1, max_value=12))
+def test_extraction_equals_reference_on_ties(inst, k):
+    # the same classes in the same order, not just the same total
+    net = build_network(enumerate_maximal_cliques(inst), inst, k)
+    flow = solve_min_cost_k_flow(net, transform_weights(net, compute_pi(net)))
+    sol = extract_solution(flow, net, inst)
+    assert sol == reference_extract_solution(flow, net, inst)
+    # walk order is start order, which is why no class needs a sort
+    for cls in sol.classes:
+        starts = [inst.vertices[v].s for v in cls]
+        assert all(a < b for a, b in zip(starts, starts[1:]))
+
+
+def _extract_outcome(extract, flow, net, inst):
+    try:
+        return extract(flow, net, inst)
+    except InternalInvariantViolation as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(inst=tie_heavy, k=st.integers(min_value=1, max_value=12), data=st.data())
+def test_extraction_rejects_corrupted_flow_like_reference(inst, k, data):
+    # a few arcs set to a wrong unit count, negative included: the same
+    # check fails first, with the same message
+    net = build_network(enumerate_maximal_cliques(inst), inst, k)
+    flow = solve_min_cost_k_flow(net, transform_weights(net, compute_pi(net)))
+    changes = data.draw(st.dictionaries(st.integers(min_value=0, max_value=len(flow) - 1),
+                                        st.integers(min_value=-1, max_value=k + 1),
+                                        max_size=3))
+    for arc, units in changes.items():
+        flow[arc] = units
+    assert (_extract_outcome(extract_solution, flow, net, inst)
+            == _extract_outcome(reference_extract_solution, flow, net, inst))
 
 
 @settings(max_examples=100, deadline=None)

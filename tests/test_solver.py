@@ -191,6 +191,15 @@ def test_extract_solution_rejects_corrupted_flow(demo10, changes, match):
         extract_solution(flow, net, demo10)
 
 
+def test_extract_solution_rejects_overlap_inside_one_class(demo10):
+    # demo10's flow read against an instance where vertex 4 starts before
+    # vertex 0 ends, though vertex 4's i-arc follows vertex 0's on one path
+    net = _network(demo10, 2)
+    moved = make_instance([(2 if v.vertex_id == 4 else v.s, v.f, v.w) for v in demo10.vertices])
+    with pytest.raises(InternalInvariantViolation, match="vertices 0 and 4 overlap"):
+        extract_solution(DEMO10_FLOW_K2, net, moved)
+
+
 def test_extract_solution_demo10(demo10):
     net = _network(demo10, 2)
     flow = solve_min_cost_k_flow(net, transform_weights(net, compute_pi(net)))
