@@ -114,37 +114,26 @@ def _cmd_cliques(args: argparse.Namespace) -> int:
 
 def _cmd_network(args: argparse.Namespace) -> int:
     _, inst = _checked_instance(args)
-    cs = enumerate_maximal_cliques(inst)
-    try:
-        net = build_network(cs, inst, args.k)
-    except EmptyInstance as exc:
-        raise _CliError(str(exc), EXIT_DATA) from None
+    net = build_network(enumerate_maximal_cliques(inst), inst, args.k)
     pi = compute_pi(net)
     weight_u = transform_weights(net, pi)
     # c-arcs are ids 0..r-1 with capacity k; arc r + v is vertex v's i-arc
-    arcs = [(a, tail, head, a < net.r, w, wu, net.k if a < net.r else 1)
+    arcs = [{"arc_id": a, "tail": tail, "head": head,
+             "kind": "c_arc" if a < net.r else "i_arc",
+             "vertex": None if a < net.r else a - net.r,
+             "weight_N": w, "weight_U": wu, "capacity": net.k if a < net.r else 1}
             for a, ((tail, head, w), wu) in enumerate(zip(net.arcs, weight_u))]
     if args.dump == "dot":
         lines = ["digraph network {", "  rankdir=LR;"]
         lines += [f"  C{node};" for node in range(net.node_count)]
-        for _, tail, head, c_arc, w, wu, cap in arcs:
-            style = ", style=dashed" if c_arc else ""
-            lines.append(f'  C{tail} -> C{head} [label="w={w}/wU={wu}/cap={cap}"{style}];')
+        for arc in arcs:
+            style = ", style=dashed" if arc["kind"] == "c_arc" else ""
+            lines.append(f'  C{arc["tail"]} -> C{arc["head"]} [label="w={arc["weight_N"]}'
+                         f'/wU={arc["weight_U"]}/cap={arc["capacity"]}"{style}];')
         lines.append("}")
         _emit("\n".join(lines) + "\n", args)
     else:
-        _emit({
-            "node_count": net.node_count,
-            "k": args.k,
-            "pi": pi,
-            "arcs": [
-                {"arc_id": a, "tail": tail, "head": head,
-                 "kind": "c_arc" if c_arc else "i_arc",
-                 "vertex": None if c_arc else a - net.r,
-                 "weight_N": w, "weight_U": wu, "capacity": cap}
-                for a, tail, head, c_arc, w, wu, cap in arcs
-            ],
-        }, args)
+        _emit({"node_count": net.node_count, "k": args.k, "pi": pi, "arcs": arcs}, args)
     return EXIT_OK
 
 
@@ -179,10 +168,7 @@ def _print_session_table(payload: dict) -> None:
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     schedule, inst = _checked_instance(args)
-    try:
-        sol = solve_mwkc(inst, args.k)
-    except EmptyInstance as exc:
-        raise _CliError(str(exc), EXIT_DATA) from None
+    sol = solve_mwkc(inst, args.k)
     payload = _solution_payload(sol, schedule, inst)
     _emit(payload, args)
     _print_session_table(payload)
@@ -191,10 +177,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
     schedule, inst = _checked_instance(args)
-    try:
-        result = brute_force_mwkc(inst, args.k)
-    except InstanceTooLarge as exc:
-        raise _CliError(str(exc), EXIT_DATA) from None
+    result = brute_force_mwkc(inst, args.k)
     assert inst.provenance is not None
     payload = {
         "k": args.k,
@@ -333,9 +316,9 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--k must be >= 1")
     try:
         return args.func(args)
-    except _CliError as exc:
+    except (_CliError, EmptyInstance, InstanceTooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return exc.code
+        return getattr(exc, "code", EXIT_DATA)  # the library's refusals are data errors
 
 
 if __name__ == "__main__":

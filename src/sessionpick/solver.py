@@ -121,6 +121,11 @@ def solve_min_cost_k_flow(net: FlowNetwork, weight_u: list[int]) -> list[int]:
     chain keeps every node reachable in every round (c-arc flow is at most
     the number of finished rounds, below the capacity net.k), so a node
     left unreached, the sink included, is an InternalInvariantViolation.
+
+    Once two rounds in a row take that chain, the rest would repeat it, so
+    their units go onto the c-arcs at once: the second chain round changes
+    no live list (every c-arc already carries flow) and no phi (the edges
+    the first made live reverse tight edges), so the next search repeats it.
     """
     nodes = net.node_count
     to: list[int] = []
@@ -132,6 +137,8 @@ def solve_min_cost_k_flow(net: FlowNetwork, weight_u: list[int]) -> list[int]:
         cost += (wu, -wu)
         residual += (net.k if a < net.r else 1, 0)
         live[tail].append(2 * a)
+    chain = list(range(0, 2 * net.r, 2))  # forward c-edges; parent[1:] on the chain path
+    repeats = 0  # chain rounds in a row
 
     for rnd in range(net.k):
         dist: list[float] = [INF] * nodes
@@ -178,6 +185,13 @@ def solve_min_cost_k_flow(net: FlowNetwork, weight_u: list[int]) -> list[int]:
             residual[e ^ 1] += 1
             if residual[e ^ 1] == 1:
                 insort(live[to[e]], e ^ 1)
+        repeats = repeats + 1 if parent[1:] == chain else 0
+        if repeats == 2:  # the search would repeat itself: see the docstring
+            rest = net.k - rnd - 1
+            for e in chain:
+                residual[e] -= rest
+                residual[e + 1] += rest
+            break
     return residual[1::2]
 
 
@@ -187,11 +201,14 @@ def extract_solution(flow: list[int], net: FlowNetwork,
     off them: the i-arcs of each path form one colour class, heaviest class
     first. At node u a path takes c-arc u while it has units left, else the
     lowest-id i-arc out of u with units left, which is the first arc out of
-    u in id order that carries flow. Each i-arc on a path leaves at or after
-    the previous one's head, so the two vertices share no clique and the
-    later one starts after the earlier one ends: no class needs a sort."""
+    u in id order that carries flow, so the first min(flow[:r]) paths select
+    nothing; they are counted, not walked, and their classes go last. Each
+    i-arc on a path leaves at or after the previous one's head, so the two
+    vertices share no clique and the later one starts after the earlier one
+    ends: no class needs a sort."""
     r = net.r
-    idle = flow[:r]  # units left on c-arc u, which runs u -> u + 1
+    empty = max(0, min([net.k, *flow[:r]]))  # clamped, so a broken flow still fails below
+    idle = [f - empty for f in flow[:r]]  # units left on c-arc u, which runs u -> u + 1
     # carried[u]: the i-arcs out of u, in id order, once per unit of flow
     carried: list[list[int]] = [[] for _ in range(r)]
     for a in compress(range(r, len(flow)), islice(flow, r, None)):
@@ -199,7 +216,7 @@ def extract_solution(flow: list[int], net: FlowNetwork,
     vertices = inst.vertices
     keyed: list[tuple[int, int, tuple[int, ...]]] = []  # (-weight, first start, class)
     seen: set[int] = set()
-    for _ in range(net.k):
+    for _ in range(net.k - empty):
         u = weight = 0
         members: list[int] = []
         while u != r:
@@ -221,12 +238,12 @@ def extract_solution(flow: list[int], net: FlowNetwork,
             if vertices[b].s < vertices[a].f:
                 raise InternalInvariantViolation(
                     f"vertices {a} and {b} overlap inside one class")
-        keyed.append((-weight, vertices[members[0]].s if members else 1 << 60, tuple(members)))
+        keyed.append((-weight, vertices[members[0]].s, tuple(members)))
     if any(idle) or any(carried) or min(flow) < 0:
         raise InternalInvariantViolation("flow not fully decomposed by k paths")
     keyed.sort()
-    return KcolourSolution(net.k, frozenset(seen), tuple(c for _, _, c in keyed),
-                           -sum(w for w, _, _ in keyed))
+    classes = tuple(c for _, _, c in keyed) + ((),) * empty
+    return KcolourSolution(net.k, frozenset(seen), classes, -sum(w for w, _, _ in keyed))
 
 
 def solve_mwkc(inst: IntervalInstance, k: int) -> KcolourSolution:

@@ -182,6 +182,27 @@ def test_extraction_rejects_corrupted_flow_like_reference(inst, k, data):
             == _extract_outcome(reference_extract_solution, flow, net, inst))
 
 
+@settings(max_examples=150, deadline=None)
+@given(inst=tie_heavy, data=st.data())
+def test_flow_and_extraction_past_omega_equal_reference(inst, data):
+    # at and past omega the flow stops once two rounds in a row take the
+    # clique-arc chain, and extraction counts the sessions that select nothing
+    omega = compute_stats(inst).omega
+    k = omega + data.draw(st.integers(min_value=0, max_value=2 * omega + 3))
+    net = build_network(enumerate_maximal_cliques(inst), inst, k)
+    weight_u = transform_weights(net, compute_pi(net))
+    flow = solve_min_cost_k_flow(net, weight_u)
+    assert flow == reference_k_flow(net, weight_u)
+    assert extract_solution(flow, net, inst) == reference_extract_solution(flow, net, inst)
+    changes = data.draw(st.dictionaries(st.integers(min_value=0, max_value=len(flow) - 1),
+                                        st.integers(min_value=-1, max_value=k + 1),
+                                        max_size=3))
+    for arc, units in changes.items():
+        flow[arc] = units
+    assert (_extract_outcome(extract_solution, flow, net, inst)
+            == _extract_outcome(reference_extract_solution, flow, net, inst))
+
+
 @settings(max_examples=100, deadline=None)
 @given(inst=instances())
 def test_pi_is_tight(inst):

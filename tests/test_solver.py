@@ -181,6 +181,9 @@ def test_solve_k_flow_unreachable_sink_is_invariant_violation():
     ({a: 0 for a in range(7, 16)} | {a: 2 for a in range(1, 7)}, "selected twice"),
     # a third unit along all six c-arcs
     ({a: DEMO10_FLOW_K2[a] + 1 for a in range(6)}, "not fully decomposed"),
+    # three units along all six c-arcs and none on an i-arc: more empty
+    # paths than k
+    ({a: 3 for a in range(6)} | {a: 0 for a in range(6, 16)}, "not fully decomposed"),
 ])
 def test_extract_solution_rejects_corrupted_flow(demo10, changes, match):
     net = _network(demo10, 2)
@@ -222,6 +225,15 @@ def test_solve_mwkc_demo10_totals(demo10, k, expected):
     assert sol.total_weight == expected
     assert len(sol.classes) == k
     assert verify_solution(sol, demo10, k).ok
+
+
+@pytest.mark.parametrize("shift", [-2 ** 61, 0, 2 ** 61])
+def test_session_order_ignores_coordinate_size(shift):
+    # a weight-0 session sorts before the empty one however far the
+    # coordinates lie from 0
+    triples = [(6, 7, 0), (8, 12, 0), (4, 12, 0), (9, 10, 1)]
+    sol = solve_mwkc(make_instance([(s + shift, f + shift, w) for s, f, w in triples]), 3)
+    assert sol.classes == ((3,), (2,), ())
 
 
 def test_solve_mwkc_k1_picks_heaviest_chain(demo10):
