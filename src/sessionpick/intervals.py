@@ -9,7 +9,8 @@ captures the whole adjacency structure.
 
 from __future__ import annotations
 
-import bisect
+from bisect import bisect_left, bisect_right
+from itertools import repeat
 from typing import NamedTuple
 
 from .schedule import IntervalInstance, Vertex
@@ -56,26 +57,35 @@ def enumerate_maximal_cliques(inst: IntervalInstance) -> CliqueSequence:
     after at least one start.
 
     At such a finish with coordinate t, the active set is exactly
-    {u : s_u < t <= f_u}, which is a maximal clique; the trigger
-    coordinates strictly increase, which yields both the clique order and,
-    via two bisects per vertex, the contiguous membership spans. Only
-    coordinates are swept: a finish at t sees the starts below t, since
-    touching intervals do not overlap.
+    {u : s_u < t <= f_u}, which is a maximal clique, and the trigger
+    coordinates strictly increase. Only coordinates are swept: a finish at
+    t sees the starts below t, since touching intervals do not overlap.
+
+    The spans come off the same sweep. p is the first trigger above s, and
+    a start is swept by exactly that trigger: it lies below it and not
+    below the one before. q is the last trigger at or below f, which is
+    the trigger count once f has been read, because a finish that ties a
+    trigger adds no trigger of its own. Equal coordinates share their p and
+    their q, so one dict per endpoint kind maps them back to vertex order.
     """
-    starts = sorted(v.s for v in inst.vertices)
+    s_col = [v.s for v in inst.vertices]
+    f_col = [v.f for v in inst.vertices]
+    starts = sorted(s_col)
+    finishes = sorted(f_col)
     leading: list[int] = []
-    triggers: list[int] = []
+    p_of: list[int] = []  # p of each swept start, in start order
+    q_of: list[int] = []  # q of each finish, in finish order
     seen = 0  # starts already behind the sweep
-    for f in sorted(v.f for v in inst.vertices):
-        below = bisect.bisect_left(starts, f, seen)
+    for f in finishes:
+        below = bisect_left(starts, f, seen)
         if below > seen:
             leading.append(starts[below - 1])
-            triggers.append(f)
+            p_of += repeat(len(leading), below - seen)
             seen = below
-    spans = tuple(
-        (bisect.bisect_right(triggers, v.s) + 1,  # first trigger > s
-         bisect.bisect_right(triggers, v.f))  # last trigger <= f
-        for v in inst.vertices)
+        q_of.append(len(leading))
+    p_at = dict(zip(starts, p_of))
+    q_at = dict(zip(finishes, q_of))
+    spans = tuple(zip(map(p_at.__getitem__, s_col), map(q_at.__getitem__, f_col)))
     return CliqueSequence(tuple(leading), spans)
 
 
@@ -106,9 +116,9 @@ def compute_stats(inst: IntervalInstance) -> GraphStats:
     """
     starts = sorted(v.s for v in inst.vertices)
     finishes = sorted(v.f for v in inst.vertices)
-    closed = sum(bisect.bisect_left(starts, v.f) - bisect.bisect_right(finishes, v.s)
+    closed = sum(bisect_left(starts, v.f) - bisect_right(finishes, v.s)
                  for v in inst.vertices)
-    omega = max((bisect.bisect_right(starts, s) - bisect.bisect_right(finishes, s)
+    omega = max((bisect_right(starts, s) - bisect_right(finishes, s)
                  for s in starts), default=0)
     return GraphStats(
         n=inst.n,

@@ -16,6 +16,7 @@ from __future__ import annotations
 from bisect import insort
 from heapq import heappop, heappush
 from itertools import compress, islice
+from operator import itemgetter, mul, neg
 from typing import NamedTuple
 
 from .intervals import CliqueSequence, enumerate_maximal_cliques
@@ -75,9 +76,10 @@ def compute_pi(net: FlowNetwork) -> list[int]:
     Every arc goes forward, so taking the arcs by descending tail settles
     pi[head] before any arc into it is read. The start value 0 is never
     above the answer: each node i < r has the weight-0 c-arc to i + 1.
+    Arcs of one tail may come in any order, as pi[tail] is their max.
     """
     pi = [0] * net.node_count
-    for tail, head, w in sorted(net.arcs, reverse=True):
+    for tail, head, w in sorted(net.arcs, key=itemgetter(0), reverse=True):
         if w + pi[head] > pi[tail]:
             pi[tail] = w + pi[head]
     return pi
@@ -92,10 +94,11 @@ def transform_weights(net: FlowNetwork, pi: list[int]) -> list[int]:
     Every weight_U is non-negative by definition of pi and at most pi[0].
     """
     weight_u = [pi[tail] - pi[head] - w for tail, head, w in net.arcs]
-    for a, wu in enumerate(weight_u):
-        if wu < 0 or wu > pi[0]:
-            raise InternalInvariantViolation(
-                f"arc {a}: transformed weight {wu} outside [0, {pi[0]}]")
+    if min(weight_u) < 0 or max(weight_u) > pi[0]:
+        for a, wu in enumerate(weight_u):  # name the first offender
+            if wu < 0 or wu > pi[0]:
+                raise InternalInvariantViolation(
+                    f"arc {a}: transformed weight {wu} outside [0, {pi[0]}]")
     return weight_u
 
 
@@ -128,16 +131,17 @@ def solve_min_cost_k_flow(net: FlowNetwork, weight_u: list[int]) -> list[int]:
     the first made live reverse tight edges), so the next search repeats it.
     """
     nodes = net.node_count
-    to: list[int] = []
-    cost: list[int] = []
-    residual: list[int] = []
-    live: list[list[int]] = [[] for _ in range(nodes)]
-    for a, ((tail, head, _), wu) in enumerate(zip(net.arcs, weight_u)):
-        to += (head, tail)
-        cost += (wu, -wu)
-        residual += (net.k if a < net.r else 1, 0)
-        live[tail].append(2 * a)
+    to = [0] * (2 * len(net.arcs))
+    to[0::2] = map(itemgetter(1), net.arcs)
+    to[1::2] = map(itemgetter(0), net.arcs)
+    cost = [0] * len(to)
+    cost[0::2] = weight_u
+    cost[1::2] = map(neg, weight_u)
+    residual = [net.k, 0] * net.r + [1, 0] * (len(net.arcs) - net.r)
     chain = list(range(0, 2 * net.r, 2))  # forward c-edges; parent[1:] on the chain path
+    live = [[e] for e in chain] + [[]]  # c-arc u leaves node u, then i-arcs in id order
+    for e in range(2 * net.r, len(to), 2):
+        live[to[e + 1]].append(e)
     repeats = 0  # chain rounds in a row
 
     for rnd in range(net.k):
@@ -254,7 +258,7 @@ def solve_mwkc(inst: IntervalInstance, k: int) -> KcolourSolution:
     weight_u = transform_weights(net, pi)
     flow = solve_min_cost_k_flow(net, weight_u)
     sol = extract_solution(flow, net, inst)
-    cost_u = sum(wu * f for wu, f in zip(weight_u, flow))
+    cost_u = sum(map(mul, weight_u, flow))
     if sol.total_weight != k * pi[0] - cost_u:
         raise InternalInvariantViolation(
             f"selected weight {sol.total_weight} != k*pi[0] - cost "

@@ -3,6 +3,7 @@ that the real code is tested against."""
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import itertools
 import random
@@ -11,10 +12,11 @@ from pathlib import Path
 
 import pytest
 
-from sessionpick import (FlowNetwork, IntervalInstance, InternalInvariantViolation,
-                         KcolourSolution, Vertex, build_network, compute_pi,
-                         connected_components, enumerate_maximal_cliques,
-                         solve_min_cost_k_flow, solve_mwkc, transform_weights)
+from sessionpick import (CliqueSequence, FlowNetwork, IntervalInstance,
+                         InternalInvariantViolation, KcolourSolution, Vertex,
+                         build_network, compute_pi, connected_components,
+                         enumerate_maximal_cliques, solve_min_cost_k_flow,
+                         solve_mwkc, transform_weights)
 from sessionpick.schedule import MINUTES_PER_DAY
 from sessionpick.solver import INF
 
@@ -113,6 +115,37 @@ def reference_maximal_cliques(inst: IntervalInstance) -> list[tuple[int, ...]]:
                     cliques.append(combo)
     cliques.sort(key=lambda c: max(verts[v].s for v in c))
     return cliques
+
+
+# The sweep with two bisects per vertex for the spans.
+# enumerate_maximal_cliques, which reads the spans off the sweep itself,
+# must return exactly this clique sequence.
+def reference_clique_sequence(inst: IntervalInstance) -> CliqueSequence:
+    """Sweep the endpoints once, recording a clique at every first finish
+    after at least one start.
+
+    At such a finish with coordinate t, the active set is exactly
+    {u : s_u < t <= f_u}, which is a maximal clique; the trigger
+    coordinates strictly increase, which yields both the clique order and,
+    via two bisects per vertex, the contiguous membership spans. Only
+    coordinates are swept: a finish at t sees the starts below t, since
+    touching intervals do not overlap.
+    """
+    starts = sorted(v.s for v in inst.vertices)
+    leading: list[int] = []
+    triggers: list[int] = []
+    seen = 0  # starts already behind the sweep
+    for f in sorted(v.f for v in inst.vertices):
+        below = bisect.bisect_left(starts, f, seen)
+        if below > seen:
+            leading.append(starts[below - 1])
+            triggers.append(f)
+            seen = below
+    spans = tuple(
+        (bisect.bisect_right(triggers, v.s) + 1,  # first trigger > s
+         bisect.bisect_right(triggers, v.f))  # last trigger <= f
+        for v in inst.vertices)
+    return CliqueSequence(tuple(leading), spans)
 
 
 def max_depth(inst: IntervalInstance, selected=None) -> int:

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from sessionpick import (
+    CliqueSequence,
     Vertex,
     compute_stats,
     connected_components,
@@ -18,6 +19,7 @@ from conftest import (
     make_instance,
     max_depth,
     random_instance,
+    reference_clique_sequence,
     reference_maximal_cliques,
 )
 
@@ -59,10 +61,23 @@ def test_single_interval():
 def test_empty_instance():
     inst = make_instance([])
     cs = enumerate_maximal_cliques(inst)
+    assert cs == reference_clique_sequence(inst) == CliqueSequence((), ())
     assert cs.r == 0
     assert cs.cliques == ()
     stats = compute_stats(inst)
     assert (stats.n, stats.m, stats.omega, stats.components) == (0, 0, 0, ())
+
+
+def test_sweep_spans_at_tied_endpoints():
+    # a second finish at 5 and two more at 8 tie a trigger: they add no
+    # clique and share its q; starts at 3 and 5 sit on a trigger, so their
+    # p is the next trigger's
+    inst = make_instance([(0, 5, 1), (3, 5, 1), (5, 8, 1), (5, 8, 1), (1, 3, 1), (3, 8, 1)])
+    cs = enumerate_maximal_cliques(inst)
+    assert cs == reference_clique_sequence(inst)
+    assert cs.leading_points == (1, 3, 5)
+    assert cs.spans == ((1, 2), (2, 2), (3, 3), (3, 3), (1, 1), (2, 3))
+    assert cs.cliques == ((0, 4), (0, 1, 5), (2, 3, 5))
 
 
 def test_two_disjoint_intervals():

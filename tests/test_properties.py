@@ -20,8 +20,8 @@ from sessionpick import (
 )
 
 from conftest import (check_flow_rounds, flow_cost, make_instance, max_depth,
-                      per_component_total, reference_extract_solution, reference_k_flow,
-                      solve_checked)
+                      per_component_total, reference_clique_sequence,
+                      reference_extract_solution, reference_k_flow, solve_checked)
 
 
 @st.composite
@@ -57,6 +57,15 @@ def test_adjacency_equals_span_intersection(inst):
             pv, qv = cs.spans[v.vertex_id]
             spans_meet = pu <= qv and pv <= qu
             assert overlaps(u, v) == overlaps(v, u) == spans_meet
+
+
+@settings(max_examples=300, deadline=None)
+@given(inst=st.one_of(instances(), tie_heavy), shift=st.sampled_from((0, -2 ** 61, 2 ** 61)))
+def test_sweep_equals_reference(inst, shift):
+    # spans read off the sweep equal the two bisects per vertex, also far
+    # from 0 where coordinates no longer fit a machine word
+    inst = make_instance([(v.s + shift, v.f + shift, v.w) for v in inst.vertices])
+    assert enumerate_maximal_cliques(inst) == reference_clique_sequence(inst)
 
 
 @settings(max_examples=150, deadline=None)

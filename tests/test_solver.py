@@ -96,8 +96,17 @@ def test_transform_weights_demo10(demo10):
 
 def test_transform_weights_rejects_inconsistent_pi():
     net = FlowNetwork(r=1, k=1, arcs=((0, 1, 0), (0, 1, 5)))
-    with pytest.raises(InternalInvariantViolation):
+    with pytest.raises(InternalInvariantViolation,
+                       match=r"^arc 1: transformed weight -5 outside \[0, 0\]$"):
         transform_weights(net, [0, 0])  # pi ignores the weight-5 arc
+
+
+def test_transform_weights_names_the_first_offender():
+    # arc 0 lies above pi[0] and arc 1 below 0: the lower id is named
+    net = FlowNetwork(r=2, k=1, arcs=((0, 1, 0), (1, 2, 0), (0, 2, 1)))
+    with pytest.raises(InternalInvariantViolation,
+                       match=r"^arc 0: transformed weight 5 outside \[0, 3\]$"):
+        transform_weights(net, [3, -2, 0])
 
 
 def _flow_checks(net, flow, k):
@@ -163,6 +172,24 @@ def test_solve_k_flow_equals_reference_on_fixtures(demo10, three_channels_csv, k
         net = _network(inst, k)
         weight_u = transform_weights(net, compute_pi(net))
         assert solve_min_cost_k_flow(net, weight_u) == reference_k_flow(net, weight_u)
+
+
+@pytest.mark.parametrize("k,expected", [
+    (1, [0, 0, 0, 0, 1, 0, 1, 0, 0, 1, 0, 0]),
+    (2, [0, 0, 0, 0, 1, 1, 1, 0, 1, 1, 0, 0]),
+    (3, [0, 0, 0, 1, 1, 1, 1, 1, 1, 1, 0, 1]),
+])
+def test_solve_k_flow_with_tails_falling_by_arc_id(k, expected):
+    # vertex ids run against start order, so i-arc tails fall as arc id
+    # rises; two pairs of identical slots (ids 2 and 3, 5 and 7) share a
+    # tail, and each node's edges must still be scanned in id order
+    inst = make_instance([(8, 10, 3), (6, 9, 2), (4, 7, 5), (4, 7, 5),
+                          (2, 5, 4), (0, 3, 1), (0, 6, 4), (0, 3, 1)])
+    net = _network(inst, k)
+    assert [tail for tail, _, _ in net.arcs[net.r:]] == [3, 2, 1, 1, 0, 0, 0, 0]
+    weight_u = transform_weights(net, compute_pi(net))
+    flow = solve_min_cost_k_flow(net, weight_u)
+    assert flow == reference_k_flow(net, weight_u) == expected
 
 
 def test_solve_k_flow_unreachable_sink_is_invariant_violation():
