@@ -211,6 +211,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
     for name, value in (("k", k), ("total_weight", total_weight)):
         if isinstance(value, bool) or not isinstance(value, int):
             raise _CliError(f"{args.solution}: {name} must be an integer", EXIT_DATA)
+    if k < 1:
+        raise _CliError(f"{args.solution}: k must be >= 1, got {k}", EXIT_DATA)
 
     assert inst.provenance is not None
     vid_by_slot = {slot_id: vid for vid, slot_id in inst.provenance.items()}

@@ -11,8 +11,9 @@ from __future__ import annotations
 import csv
 import io
 import json
-from operator import itemgetter
-from typing import NamedTuple
+from itertools import repeat
+from operator import and_, eq, ge, gt, itemgetter
+from typing import NamedTuple, Sequence
 
 MINUTES_PER_DAY = 1440
 
@@ -78,6 +79,8 @@ class IntervalInstance:
         ordered = tuple(sorted(vertices, key=itemgetter(0)))  # by vertex_id
         if [v.vertex_id for v in ordered] != list(range(len(ordered))):
             raise ValueError("vertex ids must be dense 0..n-1")
+        # a loop of attribute loads: itemgetter takes a slow path on a tuple
+        # subclass, so column checks with any(map(...)) cost more here
         for v in ordered:
             if v.s >= v.f:
                 raise ValueError(f"vertex {v.vertex_id} has s >= f")
@@ -147,6 +150,61 @@ def parse_schedule(source: bytes | str, fmt: str = "csv") -> tuple[ProgrammeSlot
 
 
 def _parse_csv(text: str) -> tuple[ProgrammeSlot, ...]:
+    fields = _csv_fields(text)
+    slots = None if fields is None else _csv_slots(fields)
+    return _walk_csv(text) if slots is None else slots
+
+
+def _csv_fields(text: str) -> list[str] | None:
+    """The fields of the rows that are not blank, in order, or None unless the
+    text is unquoted and every such row has 5 fields."""
+    # Unquoted, each line is a row split at commas. (Before Python 3.11 the
+    # reader refuses NUL.) A CRLF splits as two line ends; blank lines are skipped.
+    if '"' in text or "\0" in text:
+        return None
+    lines = text.replace("\r", "\n").split("\n")
+    if max(map(len, lines)) > csv.field_size_limit():  # the reader would raise
+        return None
+    lines = list(filter(str.strip, lines))
+    if set(map(str.count, lines, repeat(","))) != {4}:  # also no rows at all
+        return None
+    return ",".join(lines).split(",")
+
+
+def _csv_slots(fields: list[str]) -> tuple[ProgrammeSlot, ...] | None:
+    """The slots of a header row and body rows, flattened, or None if a row is bad."""
+    if [c.strip().lower() for c in fields[:5]] != CSV_HEADER:
+        return None
+    channels, titles, starts, ends, viewers = (fields[i::5] for i in range(5, 10))
+    if not channels:
+        return ()
+    viewers = tuple(map(str.strip, viewers))
+    if not ("".join(viewers).isascii() and all(map(str.isdigit, viewers))):
+        return None
+    try:
+        viewers = tuple(map(int, viewers))
+    except ValueError:  # longer than int()'s digit limit
+        return None
+    return _column_slots(channels, titles, starts, ends, viewers)
+
+
+def _column_slots(channels: Sequence[str], titles: Sequence[str], starts: Sequence[str],
+                  ends: Sequence[str], viewers: Sequence[int]) -> tuple[ProgrammeSlot, ...] | None:
+    """The slots of these columns, or None if a field is bad."""
+    channels = tuple(map(str.strip, channels))
+    titles = tuple(map(str.strip, titles))
+    start_min = tuple(map(_TIMES.get, map(str.strip, starts)))
+    end_min = tuple(map(_TIMES.get, map(str.strip, ends)))
+    if (all(channels) and all(titles) and min(viewers) >= 0 and None not in start_min
+            and None not in end_min and len(set(titles)) == len(titles)):
+        return tuple(map(tuple.__new__, repeat(ProgrammeSlot),
+                         zip(channels, titles, start_min, end_min, viewers)))
+    return None
+
+
+def _walk_csv(text: str) -> tuple[ProgrammeSlot, ...]:
+    """_parse_csv row by row: reads what _csv_fields leaves (quotes, NUL, blank
+    text, other field counts) and names a fault with its file line."""
     reader = csv.reader(io.StringIO(text, newline=""))  # LF, CRLF or bare CR
     numbered: list[tuple[int, list[str]]] = []  # (file line the row starts on, row)
     start = 1  # a quoted field may span lines, so rows and lines differ
@@ -183,9 +241,32 @@ def _parse_json(text: str) -> tuple[ProgrammeSlot, ...]:
         raise ScheduleError(f"invalid JSON: {exc}") from None
     if not isinstance(data, dict) or not isinstance(data.get("slots"), list):
         raise ScheduleError('expected a top-level object with a "slots" list')
+    records = data["slots"]
+    slots = _json_slots(records)
+    return _walk_json(records) if slots is None else slots
+
+
+def _json_slots(records: list) -> tuple[ProgrammeSlot, ...] | None:
+    """The slots of a list of records, or None if a record is bad."""
+    if not records:
+        return ()
+    if set(map(type, records)) != {dict}:  # json.loads makes no subclasses
+        return None
+    try:
+        channels, titles, starts, ends, viewers = zip(*map(itemgetter(*CSV_HEADER), records))
+    except KeyError:  # a missing field
+        return None
+    if (set(map(type, channels + titles + starts + ends)) != {str}
+            or set(map(type, viewers)) != {int}):  # bool is not int here
+        return None
+    return _column_slots(channels, titles, starts, ends, viewers)
+
+
+def _walk_json(records: list) -> tuple[ProgrammeSlot, ...]:
+    """_parse_json record by record, so that a fault is named with its index."""
     slots: list[ProgrammeSlot] = []
     seen: set[str] = set()
-    for i, rec in enumerate(data["slots"]):
+    for i, rec in enumerate(records):
         if not isinstance(rec, dict):
             raise ScheduleError(f"slot {i} is not an object")
         missing = [k for k in CSV_HEADER if k not in rec]
@@ -230,6 +311,16 @@ def validate_schedule(s: tuple[ProgrammeSlot, ...]) -> list[ValidationIssue]:
     ERROR: a slot with start >= end (zero-length or wrapping past midnight).
     WARNING: two slots of the same channel whose open intervals overlap.
     """
+    ordered = sorted(s, key=itemgetter(2))
+    ordered.sort(key=itemgetter(0))  # by (channel, start), stable
+    channels = list(map(itemgetter(0), ordered))
+    starts = list(map(itemgetter(2), ordered))
+    ends = list(map(itemgetter(3), ordered))
+    # ordered by start, a channel's slots of positive length are pairwise
+    # disjoint iff each is disjoint from the next, for then their ends increase
+    if not (any(map(ge, starts, ends)) or any(map(and_, map(eq, channels, channels[1:]),
+                                                  map(gt, ends, starts[1:])))):
+        return []
     issues: list[ValidationIssue] = []  # ERRORs in input order, then WARNINGs
     by_channel: dict[str, list[ProgrammeSlot]] = {}
     for slot in s:
@@ -261,15 +352,19 @@ def to_intervals(s: tuple[ProgrammeSlot, ...],
     compared to keeping them at weight zero. Vertex ids are assigned in
     (start, end, slot_id) order.
     """
-    unknown = set(excluded) - {slot.title for slot in s}
-    if unknown:
-        raise ValueError(f"excluded slot ids not in schedule: {', '.join(sorted(unknown))}")
-    kept = [slot for slot in s if slot.title not in excluded]
+    if excluded:
+        unknown = set(excluded) - {slot.title for slot in s}
+        if unknown:
+            raise ValueError(f"excluded slot ids not in schedule: {', '.join(sorted(unknown))}")
+        kept = [slot for slot in s if slot.title not in excluded]
+    else:
+        kept = list(s)
     for slot in kept:
         if slot.start >= slot.end:
             raise ValueError(f"slot {slot.title!r} has start >= end; validate first")
-    kept.sort(key=_BY_START_END_ID)
-    vertices = tuple(Vertex(i, start, end, viewers)
-                     for i, (_, _, start, end, viewers) in enumerate(kept))
-    provenance = {i: sl.title for i, sl in enumerate(kept)}
-    return IntervalInstance(vertices, provenance)
+    for key in (1, 3, 2):  # stable sorts, last key first: by (start, end, slot_id)
+        kept.sort(key=itemgetter(key))  # with no key tuple per slot
+    vertices = tuple(map(tuple.__new__, repeat(Vertex), zip(
+        range(len(kept)), map(itemgetter(2), kept), map(itemgetter(3), kept),
+        map(itemgetter(4), kept))))
+    return IntervalInstance(vertices, dict(enumerate(map(itemgetter(1), kept))))

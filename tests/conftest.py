@@ -4,10 +4,14 @@ that the real code is tested against."""
 from __future__ import annotations
 
 import bisect
+import csv
 import heapq
+import io
 import itertools
+import json
 import random
 import re
+from operator import itemgetter
 from pathlib import Path
 
 import pytest
@@ -17,7 +21,8 @@ from sessionpick import (CliqueSequence, FlowNetwork, IntervalInstance,
                          build_network, compute_pi, connected_components,
                          enumerate_maximal_cliques, solve_min_cost_k_flow,
                          solve_mwkc, transform_weights)
-from sessionpick.schedule import MINUTES_PER_DAY
+from sessionpick.schedule import (CSV_HEADER, MINUTES_PER_DAY, ProgrammeSlot, ScheduleError,
+                                  ValidationIssue, format_time)
 from sessionpick.solver import INF
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -73,6 +78,144 @@ def reference_parse_time(text: str) -> int:
     if match is None or (minutes := int(match[1]) * 60 + int(match[2])) > MINUTES_PER_DAY:
         raise ValueError(f"bad time {text!r}, expected HH:MM up to 24:00")
     return minutes
+
+
+# The row-by-row schedule parser and the per-channel validation scan, as
+# they stood before ingestion went column-wise: parse_schedule and
+# validate_schedule must give the same result, or the same error message,
+# on every input.
+def _ref_parse_viewers(text: str) -> int:
+    digits = text.strip()
+    try:
+        if digits.isascii() and digits.isdigit():
+            return int(digits)
+    except ValueError:  # longer than int()'s digit limit
+        pass
+    raise ScheduleError(f"viewers {text!r} is not a non-negative integer")
+
+
+def _ref_make_slot(channel: str, title: str, start: str, end: str, viewers: int,
+                   seen: set[str]) -> ProgrammeSlot:
+    """Raises a ValueError that the caller prefixes with the slot's place."""
+    channel = channel.strip()
+    title = title.strip()
+    if not channel:
+        raise ScheduleError("empty channel name")
+    if not title:
+        raise ScheduleError("empty title")
+    if viewers < 0:
+        raise ScheduleError(f"viewers must be >= 0, got {viewers}")
+    start_min = reference_parse_time(start)
+    end_min = reference_parse_time(end)
+    if title in seen:
+        raise ScheduleError(f"duplicate slot_id {title!r}")
+    seen.add(title)
+    return ProgrammeSlot(channel, title, start_min, end_min, viewers)
+
+
+def reference_parse_schedule(source: bytes | str, fmt: str = "csv") -> tuple[ProgrammeSlot, ...]:
+    """Parse CSV or JSON schedule data into a tuple of slots, preserving order."""
+    if isinstance(source, bytes):
+        try:
+            text = source.decode("utf-8-sig")  # spreadsheet exports lead with a BOM
+        except UnicodeDecodeError as exc:
+            raise ScheduleError(f"input is not UTF-8: {exc}") from None
+    else:
+        text = source.removeprefix("\ufeff")  # the one BOM utf-8-sig drops from bytes
+    if fmt == "csv":
+        return _ref_parse_csv(text)
+    if fmt == "json":
+        return _ref_parse_json(text)
+    raise ScheduleError(f"unknown format {fmt!r}, expected csv or json")
+
+
+def _ref_parse_csv(text: str) -> tuple[ProgrammeSlot, ...]:
+    reader = csv.reader(io.StringIO(text, newline=""))  # LF, CRLF or bare CR
+    numbered: list[tuple[int, list[str]]] = []  # (file line the row starts on, row)
+    start = 1  # a quoted field may span lines, so rows and lines differ
+    try:
+        for row in reader:
+            if len(row) > 1 or (row and row[0].strip()):  # blank lines are skipped
+                numbered.append((start, row))
+            start = reader.line_num + 1
+    except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
+        raise ScheduleError(f"line {reader.line_num}: bad CSV: {exc}") from None
+    if not numbered:
+        return ()
+    (header_line, header_row), *body = numbered
+    if [c.strip().lower() for c in header_row] != CSV_HEADER:
+        raise ScheduleError(f"line {header_line}: bad header {header_row!r}, "
+                            f"expected {','.join(CSV_HEADER)}")
+    slots: list[ProgrammeSlot] = []
+    seen: set[str] = set()
+    for i, row in body:
+        if len(row) != 5:
+            raise ScheduleError(f"line {i}: expected 5 fields, got {len(row)}")
+        channel, title, start, end, viewers = row
+        try:
+            slots.append(_ref_make_slot(channel, title, start, end, _ref_parse_viewers(viewers),
+                                        seen))
+        except ValueError as exc:
+            raise ScheduleError(f"line {i}: {exc}") from None
+    return tuple(slots)
+
+
+def _ref_parse_json(text: str) -> tuple[ProgrammeSlot, ...]:
+    try:
+        data = json.loads(text)
+    except (ValueError, RecursionError) as exc:  # also too deep, or an int over the digit limit
+        raise ScheduleError(f"invalid JSON: {exc}") from None
+    if not isinstance(data, dict) or not isinstance(data.get("slots"), list):
+        raise ScheduleError('expected a top-level object with a "slots" list')
+    slots: list[ProgrammeSlot] = []
+    seen: set[str] = set()
+    for i, rec in enumerate(data["slots"]):
+        if not isinstance(rec, dict):
+            raise ScheduleError(f"slot {i} is not an object")
+        missing = [k for k in CSV_HEADER if k not in rec]
+        if missing:
+            raise ScheduleError(f"slot {i} missing fields: {', '.join(missing)}")
+        viewers = rec["viewers"]
+        if isinstance(viewers, bool) or not isinstance(viewers, int):
+            raise ScheduleError(f"slot {i}: viewers must be an integer")
+        for key in ("channel", "title", "start", "end"):
+            if not isinstance(rec[key], str):
+                raise ScheduleError(f"slot {i}: {key} must be a string")
+        try:
+            slots.append(_ref_make_slot(rec["channel"], rec["title"], rec["start"],
+                                        rec["end"], viewers, seen))
+        except ValueError as exc:
+            raise ScheduleError(f"slot {i}: {exc}") from None
+    return tuple(slots)
+
+
+def reference_validate_schedule(s: tuple[ProgrammeSlot, ...]) -> list[ValidationIssue]:
+    """Check the model assumptions. Never raises; returns a report.
+
+    ERROR: a slot with start >= end (zero-length or wrapping past midnight).
+    WARNING: two slots of the same channel whose open intervals overlap.
+    """
+    issues: list[ValidationIssue] = []  # ERRORs in input order, then WARNINGs
+    by_channel: dict[str, list[ProgrammeSlot]] = {}
+    for slot in s:
+        if slot.start >= slot.end:
+            issues.append(ValidationIssue(
+                "ERROR", (slot.title,),
+                f"slot {slot.title!r} has start {format_time(slot.start)} "
+                f">= end {format_time(slot.end)}"))
+        else:
+            by_channel.setdefault(slot.channel, []).append(slot)
+    for channel in sorted(by_channel):
+        group = sorted(by_channel[channel], key=itemgetter(2, 3, 1))  # (start, end, slot_id)
+        active: list[ProgrammeSlot] = []
+        for slot in group:
+            active = [a for a in active if a.end > slot.start]
+            for other in active:
+                issues.append(ValidationIssue(
+                    "WARNING", (other.title, slot.title),
+                    f"channel {channel!r}: slots {other.title!r} and {slot.title!r} overlap"))
+            active.append(slot)
+    return issues
 
 
 def make_instance(triples) -> IntervalInstance:

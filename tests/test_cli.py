@@ -315,6 +315,15 @@ def test_check_malformed_solution_is_one_error_line(tmp_path, capsys, field, val
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
+@pytest.mark.parametrize("k", [0, -3])
+def test_check_rejects_file_k_below_one(tmp_path, capsys, k):
+    solution = tmp_path / "sol.json"
+    solution.write_text(json.dumps({"k": k, "sessions": []}))
+    code, out, err = run_cli(capsys, "check", "--input", DEMO, str(solution))
+    assert (code, out) == (1, "")
+    assert err == f"error: {solution}: k must be >= 1, got {k}\n"
+
+
 def test_check_non_utf8_solution_is_one_error_line(tmp_path, capsys):
     solution = tmp_path / "sol.json"
     solution.write_bytes(b'\xff\xfe{"sessions": []}')

@@ -15,9 +15,9 @@ from sessionpick import (
     to_intervals,
     validate_schedule,
 )
-from sessionpick.schedule import format_time, parse_time
+from sessionpick.schedule import CSV_HEADER, format_time, parse_time
 
-from conftest import reference_parse_time
+from conftest import reference_parse_schedule, reference_parse_time, reference_validate_schedule
 
 
 def test_timepoint_parse():
@@ -190,6 +190,135 @@ def test_parse_json_error_messages(slot, message):
     assert str(exc.value) == message
 
 
+def _parse_outcome(parse, source, fmt):
+    try:
+        slots = parse(source, fmt)
+    except ScheduleError as exc:
+        return str(exc)
+    assert all(type(slot) is ProgrammeSlot for slot in slots)
+    return slots
+
+
+_OVER_DIGIT_LIMIT = "9" * 4301  # int() refuses more than 4300 digits
+
+
+@st.composite
+def csv_sources(draw):
+    """CSV text, or its UTF-8 bytes: valid rows, blank lines and up to two faults."""
+    eols = st.sampled_from(["\n", "\r\n", "\r"])
+    eol = draw(eols)
+    kinds = draw(st.lists(st.sampled_from(["row"] * 4 + ["blank", "space", "quoted"]),
+                          max_size=8))
+    header = draw(st.sampled_from(["channel,title,start,end,viewers",
+                                   " Channel ,TITLE, start,end ,viewers"]))
+    faults = st.sampled_from(["header", "fields", "time", "viewers", "dup", "channel", "title"])
+    for at, fault in draw(st.lists(st.tuples(st.integers(min_value=0, max_value=7), faults),
+                                   max_size=2)):
+        if fault == "header":
+            header = draw(st.sampled_from(["channel,name,start,end,viewers",
+                                           "channel,title,start,end"]))
+        elif kinds:
+            kinds[at % len(kinds)] = fault
+    lines = draw(st.lists(st.sampled_from(["", " ", "\t "]), max_size=2)) + [header]
+    titles: list[str] = []
+    for i, kind in enumerate(kinds):
+        if kind == "blank":
+            lines.append("")
+            continue
+        if kind == "space":
+            lines.append(draw(st.sampled_from([" ", "\t", '" "', "\x0c", "\x1c\x85"])))
+            continue
+        title = f"t{i}" + draw(st.sampled_from(["", "\x00", "\x0b", "\u2028", "\x85x"]))
+        fields = [draw(st.sampled_from(["A", " B", "C ", "\x0bD"])), title,
+                  draw(st.sampled_from(["01:00", " 9:30", "23:59 "])),
+                  draw(st.sampled_from(["02:00", "24:00", "0:00"])),
+                  draw(st.sampled_from(["0", "7", " 12 ", "0042"]))]
+        if kind == "quoted":  # a title over several lines, with a comma or a quote, or plain
+            title = draw(st.sampled_from([f"t{i}{eol}x", f"t{i}\r\nx\ny", f"t{i},z",
+                                          f't{i}""q', f"t{i}"]))
+            fields[1] = f'"{title}"'
+        elif kind == "fields":
+            fields = draw(st.sampled_from([fields[:1], fields[:4], fields + ["x"]]))
+        elif kind == "time":
+            fields[draw(st.sampled_from([2, 3]))] = draw(st.sampled_from(
+                ["1:5", "25:00", "24:01", "9:60", "\u0663:00", ""]))
+        elif kind == "viewers":
+            fields[4] = draw(st.sampled_from(["+5", "1_0", "\u0663", _OVER_DIGIT_LIMIT, "-1", ""]))
+        elif kind == "dup" and titles:  # equal to an earlier title once stripped
+            fields[1] = f" {draw(st.sampled_from(titles))} "
+        elif kind in ("channel", "title"):
+            fields[kind == "title"] = " "
+        titles.append(title)
+        lines.append(",".join(fields))
+    if draw(st.booleans()):  # mixed line endings
+        lines = [line + draw(eols) for line in lines[:-1]] + lines[-1:]
+        eol = ""
+    text = draw(st.sampled_from(["", "\ufeff", "\ufeff\ufeff"])) + eol.join(lines)
+    text += draw(st.sampled_from(["", "\n", "\r\n", "\r"]))
+    return text.encode() if draw(st.booleans()) else text
+
+
+@settings(max_examples=400, deadline=None)
+@given(source=csv_sources())
+@example(source="\n \r\n\tchannel,title,start,end,viewers\nA, x ,01:00,02:00,1\n"
+                "B,x,03:00,04:00,2\n")
+@example(source='channel,title,start,end,viewers\nA,"x",01:00,02:00,1\n')
+@example(source=f"channel,title,start,end,viewers\nA,x,01:00,02:00,{_OVER_DIGIT_LIMIT}\n")
+@example(source="channel,title,start,end,viewers\nA,x,01:00,02:00,\u0663\n")
+@example(source=f"channel,title,start,end,viewers\nA,{'x' * 131072},01:00,02:00,1\n")
+@example(source=f"channel,title,start,end,viewers\nA,{'x' * 131073},01:00,02:00,1\n")
+@example(source=f"channel,title,start,end,viewers\n{' ' * 131073}\nA,x,01:00,02:00,1\n")
+def test_parse_csv_matches_reference(source):
+    assert (_parse_outcome(parse_schedule, source, "csv")
+            == _parse_outcome(reference_parse_schedule, source, "csv"))
+
+
+@st.composite
+def json_sources(draw):
+    """A JSON schedule of valid records and up to two faulty ones."""
+    n = draw(st.integers(min_value=0, max_value=6))
+    kinds = st.sampled_from(["type", "negative", "missing", "object", "time", "dup", "channel",
+                             "title"])
+    faults = dict(draw(st.lists(st.tuples(st.integers(min_value=0, max_value=5), kinds),
+                                max_size=2)))
+    records = []
+    for i in range(n):
+        rec = {"channel": draw(st.sampled_from(["A", " B "])), "title": f"t{i}",
+               "start": draw(st.sampled_from(["01:00", " 7:15"])),
+               "end": draw(st.sampled_from(["02:00", "24:00"])),
+               "viewers": draw(st.integers(min_value=0, max_value=50))}
+        fault = faults.get(i)
+        if fault == "type":
+            rec[draw(st.sampled_from(CSV_HEADER))] = draw(st.sampled_from(
+                [7, "5", True, 1.0, None, ["x"]]))
+        elif fault == "negative":
+            rec["viewers"] = -draw(st.integers(min_value=1, max_value=9))
+        elif fault == "missing":
+            for key in draw(st.lists(st.sampled_from(CSV_HEADER), min_size=1, max_size=2)):
+                rec.pop(key, None)
+        elif fault == "object":
+            rec = draw(st.sampled_from([1, "x", [], None]))
+        elif fault == "time":
+            rec[draw(st.sampled_from(["start", "end"]))] = "1:5"
+        elif fault == "dup":
+            rec["title"] = " t0 "
+        elif fault in ("channel", "title"):
+            rec[fault] = " "
+        records.append(rec)
+    return json.dumps({"slots": records})
+
+
+@settings(max_examples=400, deadline=None)
+@given(source=json_sources())
+@example(source=json.dumps({"slots": [
+    {"channel": "A", "title": "x", "start": "01:00", "end": "02:00", "viewers": -1}, 7]}))
+@example(source=json.dumps({"slots": [
+    {"channel": "A", "title": "x", "start": "01:00", "end": "02:00", "viewers": True}]}))
+def test_parse_json_matches_reference(source):
+    assert (_parse_outcome(parse_schedule, source, "json")
+            == _parse_outcome(reference_parse_schedule, source, "json"))
+
+
 def test_parse_unknown_format():
     with pytest.raises(ValueError):
         parse_schedule("", "xml")
@@ -229,6 +358,37 @@ def test_validate_ignores_cross_channel_and_touching():
     assert validate_schedule(sched) == []
 
 
+@st.composite
+def slot_sets(draw):
+    """Slots of a few channels on a short day, so that they overlap often;
+    unless clean, some have start >= end."""
+    clean = draw(st.booleans())
+    slots = []
+    for i in range(draw(st.integers(min_value=0, max_value=10))):
+        start = draw(st.integers(min_value=0, max_value=12))
+        end = draw(st.integers(min_value=start + 1, max_value=14) if clean
+                   else st.integers(min_value=0, max_value=14))
+        slots.append(ProgrammeSlot(draw(st.sampled_from(["A", "B", "C"])), f"s{i}",
+                                   start, end, 1))
+    return tuple(slots)
+
+
+def _slots(*triples):
+    return tuple(ProgrammeSlot(channel, f"s{i}", start, end, 1)
+                 for i, (channel, start, end) in enumerate(triples))
+
+
+@settings(max_examples=400, deadline=None)
+@given(sched=slot_sets())
+@example(sched=_slots(("A", 0, 10), ("A", 2, 4), ("A", 3, 5)))  # nested
+@example(sched=_slots(("A", 0, 3), ("A", 2, 5), ("A", 4, 7)))  # chained
+@example(sched=_slots(("A", 0, 2), ("A", 2, 4), ("B", 1, 3), ("A", 4, 6)))  # touching
+@example(sched=_slots(("A", 1, 3), ("A", 1, 2), ("A", 1, 3)))  # equal starts
+@example(sched=_slots(("A", 3, 3), ("A", 0, 2), ("B", 5, 1), ("A", 1, 4)))  # errors first
+def test_validate_matches_reference(sched):
+    assert validate_schedule(sched) == reference_validate_schedule(sched)
+
+
 def test_to_intervals_sorts_and_records_slot_ids():
     sched = (_slot("A", "late", "05:00", "06:00", 2),
              _slot("B", "b-early", "01:00", "02:00", 3),
@@ -254,6 +414,33 @@ def test_to_intervals_rejects_degenerate():
     sched = (_slot("A", "x", "02:00", "02:00"),)
     with pytest.raises(ValueError, match="validate"):
         to_intervals(sched)
+
+
+def test_to_intervals_names_first_bad_slot():
+    sched = (_slot("A", "ok", "01:00", "02:00"),
+             _slot("A", "late", "05:00", "04:00"),  # the first one with start >= end
+             _slot("B", "early", "03:00", "03:00"))
+    with pytest.raises(ValueError) as exc:
+        to_intervals(sched)
+    assert str(exc.value) == "slot 'late' has start >= end; validate first"
+    # negative viewers are refused by the instance, named by vertex id
+    sched = (ProgrammeSlot("A", "x", 300, 400, -1), ProgrammeSlot("B", "y", 60, 120, -2))
+    with pytest.raises(ValueError) as exc:
+        to_intervals(sched)
+    assert str(exc.value) == "vertex 0 has negative weight"
+
+
+@pytest.mark.parametrize("bad,message", [
+    ({1: (0, 1, -1), 2: (5, 5, 1)}, "vertex 1 has negative weight"),
+    ({1: (5, 5, 1), 2: (0, 1, -1)}, "vertex 1 has s >= f"),
+    ({1: (6, 5, -1), 2: (0, 1, -1)}, "vertex 1 has s >= f"),  # both faults on one vertex
+], ids=["weight-then-shape", "shape-then-weight", "both-on-one"])
+def test_interval_instance_names_first_bad_vertex(bad, message):
+    triples = {0: (0, 1, 1), 3: (2, 3, 1), **bad}
+    vertices = tuple(Vertex(i, *triples[i]) for i in reversed(range(4)))  # ids out of order
+    with pytest.raises(ValueError) as exc:
+        IntervalInstance(vertices)
+    assert str(exc.value) == message
 
 
 def test_interval_instance_checks_ids_and_shape():
