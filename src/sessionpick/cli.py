@@ -10,6 +10,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .intervals import enumerate_maximal_cliques
@@ -137,41 +139,52 @@ def _cmd_network(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _solution_payload(sol: KcolourSolution, schedule: tuple[ProgrammeSlot, ...],
-                      inst: IntervalInstance) -> dict:
+# json.dumps(payload, indent=2) of a solve result, one template per level;
+# strings go through the encoder json.dumps uses under ensure_ascii
+_SOLUTION = '{\n  "k": %d,\n  "total_weight": %d,\n  "sessions": [\n%s\n  ]\n}\n'
+_SESSION = '    {\n      "weight": %d,\n      "slots": [\n%s\n      ]\n    }'
+_EMPTY_SESSION = '    {\n      "weight": 0,\n      "slots": []\n    }'
+_SLOT = ('        {\n          "slot_id": %s,\n          "channel": %s,\n'
+         '          "title": %s,\n          "start": "%s",\n          "end": "%s",\n'
+         '          "viewers": %d\n        }')
+
+
+def _solution_text(sol: KcolourSolution, schedule: tuple[ProgrammeSlot, ...],
+                   inst: IntervalInstance) -> tuple[str, str]:
+    """The solve result as JSON text and as the stderr table, in one walk."""
     slot_by_id = {slot.title: slot for slot in schedule}
     assert inst.provenance is not None
-    sessions = []
-    for members in sol.classes:
+    provenance = inst.provenance
+    sessions: list[str] = []
+    table = [f"k={sol.k} total_weight={sol.total_weight}\n"]
+    for i, members in enumerate(sol.classes, start=1):
         slots = []
+        lines = []
         weight = 0
         for vid in members:
-            slot = slot_by_id[inst.provenance[vid]]
-            weight += slot.viewers
-            slots.append({
-                "slot_id": slot.title, "channel": slot.channel, "title": slot.title,
-                "start": format_time(slot.start), "end": format_time(slot.end),
-                "viewers": slot.viewers,
-            })
-        sessions.append({"weight": weight, "slots": slots})
-    return {"k": sol.k, "total_weight": sol.total_weight, "sessions": sessions}
-
-
-def _print_session_table(payload: dict) -> None:
-    print(f"k={payload['k']} total_weight={payload['total_weight']}", file=sys.stderr)
-    for i, session in enumerate(payload["sessions"], start=1):
-        print(f"session {i} (weight {session['weight']}):", file=sys.stderr)
-        for slot in session["slots"]:
-            print(f"  {slot['start']}-{slot['end']}  {slot['channel']:<12} "
-                  f"{slot['title']}  ({slot['viewers']})", file=sys.stderr)
+            channel, title, start, end, viewers = slot_by_id[provenance[vid]]
+            weight += viewers
+            start = format_time(start)
+            end = format_time(end)
+            quoted = encode_basestring_ascii(title)
+            slots.append(_SLOT % (quoted, encode_basestring_ascii(channel), quoted,
+                                  start, end, viewers))
+            lines.append("  %s-%s  %-12s %s  (%d)\n" % (start, end, channel, title, viewers))
+        sessions.append(_SESSION % (weight, ",\n".join(slots)) if slots else _EMPTY_SESSION)
+        table.append(f"session {i} (weight {weight}):\n")
+        table += lines
+    return (_SOLUTION % (sol.k, sol.total_weight, ",\n".join(sessions)), "".join(table))
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     schedule, inst = _checked_instance(args)
-    sol = solve_mwkc(inst, args.k)
-    payload = _solution_payload(sol, schedule, inst)
-    _emit(payload, args)
-    _print_session_table(payload)
+    try:
+        sol = solve_mwkc(inst, args.k)
+    except (OverflowError, MemoryError):  # too many sessions to count or to hold
+        raise _CliError(f"--k {args.k} is too large to solve", EXIT_DATA) from None
+    text, table = _solution_text(sol, schedule, inst)
+    _emit(text, args)
+    sys.stderr.write(table)
     return EXIT_OK
 
 
@@ -263,6 +276,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@cache  # built on the first main call, then reused: building costs about 1 ms
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sessionpick",

@@ -11,6 +11,7 @@ import itertools
 import json
 import random
 import re
+import sys
 from operator import itemgetter
 from pathlib import Path
 
@@ -456,6 +457,39 @@ def reference_extract_solution(flow: list[int], net: FlowNetwork,
 
     classes.sort(key=class_key)
     return KcolourSolution(net.k, frozenset(seen), tuple(classes), total)
+
+
+# The solve output as a payload dict for json.dumps(indent=2) and a table
+# printed line by line, as they stood before the CLI wrote both in one walk:
+# solve's stdout must be json.dumps(reference_solution_payload(...), indent=2)
+# plus a newline, and its stderr table what reference_session_table prints.
+def reference_solution_payload(sol: KcolourSolution, schedule: tuple[ProgrammeSlot, ...],
+                                inst: IntervalInstance) -> dict:
+    slot_by_id = {slot.title: slot for slot in schedule}
+    assert inst.provenance is not None
+    sessions = []
+    for members in sol.classes:
+        slots = []
+        weight = 0
+        for vid in members:
+            slot = slot_by_id[inst.provenance[vid]]
+            weight += slot.viewers
+            slots.append({
+                "slot_id": slot.title, "channel": slot.channel, "title": slot.title,
+                "start": format_time(slot.start), "end": format_time(slot.end),
+                "viewers": slot.viewers,
+            })
+        sessions.append({"weight": weight, "slots": slots})
+    return {"k": sol.k, "total_weight": sol.total_weight, "sessions": sessions}
+
+
+def reference_session_table(payload: dict) -> None:
+    print(f"k={payload['k']} total_weight={payload['total_weight']}", file=sys.stderr)
+    for i, session in enumerate(payload["sessions"], start=1):
+        print(f"session {i} (weight {session['weight']}):", file=sys.stderr)
+        for slot in session["slots"]:
+            print(f"  {slot['start']}-{slot['end']}  {slot['channel']:<12} "
+                  f"{slot['title']}  ({slot['viewers']})", file=sys.stderr)
 
 
 def check_flow_rounds(net, weight_u) -> list[int]:

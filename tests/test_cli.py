@@ -11,9 +11,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sessionpick.cli import main
+from sessionpick import solve_mwkc
+from sessionpick.cli import _build_parser, main
+from sessionpick.schedule import (format_time, parse_schedule, to_intervals,
+                                  validate_schedule)
 
-from conftest import FIXTURES
+from conftest import FIXTURES, reference_session_table, reference_solution_payload
 
 DEMO = str(FIXTURES / "demo10.csv")
 THREE = str(FIXTURES / "three_channels.csv")
@@ -120,6 +123,15 @@ def test_solve_far_past_omega(capsys):
     _, five, _ = run_cli(capsys, "solve", "--input", DEMO, "--k", "5")
     busy = [session for session in payload["sessions"] if session["slots"]]
     assert busy == [session for session in json.loads(five)["sessions"] if session["slots"]]
+
+
+def test_solve_huge_k_is_one_error_line(capsys):
+    # no tuple can be that long, so the solve fails before it allocates
+    # the empty sessions
+    k = 10**20
+    code, out, err = run_cli(capsys, "solve", "--input", DEMO, "--k", str(k))
+    assert (code, out) == (1, "")
+    assert err == f"error: --k {k} is too large to solve\n"
 
 
 def test_solve_is_deterministic(capsys):
@@ -248,6 +260,36 @@ def test_missing_k_is_usage_error(capsys):
         main(["solve", "--input", DEMO])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+def _usage_error(argv):
+    """stderr and exit code of main(argv), which must end in a usage error."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), pytest.raises(SystemExit) as exc:
+        main(argv)
+    return err.getvalue(), exc.value.code
+
+
+def test_reused_parser_gives_the_same_usage_errors(capsys):
+    usage_errors = [
+        ["solve", "--input", DEMO, "--k", "0"],
+        ["solve", "--input", DEMO],
+        ["schedule", "--input", DEMO],
+        ["network", "--input", DEMO, "--dump", "xml"],
+    ]
+    first = [_usage_error(argv) for argv in usage_errors]
+    for argv, (err, code) in zip(usage_errors, first):
+        # a process of its own builds its parser afresh
+        proc = subprocess.run([sys.executable, "-m", "sessionpick", *argv],
+                              capture_output=True, text=True, timeout=60)
+        assert (proc.stderr, proc.returncode) == (err, code)
+        assert code == 2 and err.startswith("usage: sessionpick")
+    for _ in range(3):
+        for argv, expected in zip(usage_errors, first):
+            assert run_cli(capsys, "solve", "--input", DEMO, "--k", "2")[0] == 0
+            assert _usage_error(argv) == expected
+            assert run_cli(capsys, "validate", "--input", DEMO)[0] == 0
+    assert _build_parser.cache_info().misses == 1
 
 
 def test_output_flag_writes_file(tmp_path, capsys):
@@ -389,6 +431,42 @@ def test_empty_schedule_is_one_error_line(tmp_path, capsys, command):
     assert code == 1
     assert out == ""
     assert err == "error: no intervals, nothing to schedule\n"
+
+
+# characters that json.dumps writes as a short escape, a \uXXXX escape, a
+# surrogate pair or as they are, and whitespace for parsing to strip
+_TRICKY = st.sampled_from(['"', "\\", "\x00", "\n", "\x1f", "\x7f", " ", "é", "\u2028",
+                           "\U0001f4fa", "\ud800", "\udfff", "/"]) | st.characters()
+_slot_fields = st.tuples(st.text(_TRICKY, max_size=4), st.text(_TRICKY, max_size=4),
+                         st.integers(0, 1439), st.integers(1, 240),
+                         st.integers(0, 10**30) | st.integers(0, 9))
+
+
+@settings(max_examples=150, deadline=None)
+@given(fields=st.lists(_slot_fields, min_size=1, max_size=8), k=st.integers(1, 10))
+def test_solve_output_matches_reference(fields, k):
+    # the index keeps titles unique and the letters keep names non-empty
+    records = [{"channel": "c" + channel, "title": f"t{i}|{title}",
+                "start": format_time(start), "end": format_time(min(start + length, 1440)),
+                "viewers": viewers}
+               for i, (channel, title, start, length, viewers) in enumerate(fields)]
+    source = json.dumps({"slots": records}).encode()
+    schedule = parse_schedule(source, "json")
+    inst = to_intervals(schedule)
+    payload = reference_solution_payload(solve_mwkc(inst, k), schedule, inst)
+    table = io.StringIO()
+    with contextlib.redirect_stderr(table):
+        reference_session_table(payload)
+    issues = "".join(f"{i.severity}: {i.message}\n" for i in validate_schedule(schedule))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "schedule.json"
+        path.write_bytes(source)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["solve", "--input", str(path), "--k", str(k)])
+    assert code == 0
+    assert out.getvalue() == json.dumps(payload, indent=2) + "\n"
+    assert err.getvalue() == issues + table.getvalue()
 
 
 def _quiet_main(argv):
