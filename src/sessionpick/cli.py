@@ -2,13 +2,14 @@
 
 JSON on stdout is the machine contract; anything meant for humans (tables,
 warnings, errors) goes to stderr. Exit codes: 0 success, 1 data problems
-(validation errors, unparseable input), 2 usage problems.
+(validation errors, unparseable input), 2 usage problems and failed writes.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from functools import cache
 from json.encoder import encode_basestring_ascii
@@ -327,14 +328,39 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "k", None) is not None and args.k < 1:
-        parser.error("--k must be >= 1")
     try:
-        return args.func(args)
-    except (_CliError, EmptyInstance, InstanceTooLarge) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return getattr(exc, "code", EXIT_DATA)  # the library's refusals are data errors
+        try:
+            args = parser.parse_args(argv)
+            if getattr(args, "k", None) is not None and args.k < 1:
+                parser.error("--k must be >= 1")
+            return args.func(args)
+        except (_CliError, EmptyInstance, InstanceTooLarge) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return getattr(exc, "code", EXIT_DATA)  # the library's refusals are data errors
+        finally:  # so that a closed or full stdout fails here, not at exit
+            sys.stdout.flush()
+    except OSError as exc:  # a write to stdout or stderr failed
+        try:
+            sys.stdout.flush()
+        except OSError:  # the flush at exit would raise again, so let it write nowhere
+            _stdout_to_devnull()
+        try:
+            print(f"error: cannot write output: {exc}", file=sys.stderr)
+        except OSError:
+            pass
+        return EXIT_USAGE
+
+
+def _stdout_to_devnull() -> None:
+    """Point this process's fd 1 at os.devnull, if sys.stdout writes to it."""
+    try:
+        if sys.stdout.fileno() != 1:
+            return
+    except (AttributeError, OSError, ValueError):  # no fd, e.g. a test's StringIO
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, 1)
+    os.close(devnull)
 
 
 if __name__ == "__main__":

@@ -13,7 +13,7 @@ import io
 import json
 from itertools import repeat
 from operator import and_, eq, ge, gt, itemgetter
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 MINUTES_PER_DAY = 1440
 
@@ -150,14 +150,14 @@ def parse_schedule(source: bytes | str, fmt: str = "csv") -> tuple[ProgrammeSlot
 
 
 def _parse_csv(text: str) -> tuple[ProgrammeSlot, ...]:
-    fields = _csv_fields(text)
-    slots = None if fields is None else _csv_slots(fields)
+    slots = _csv_columns(text)
     return _walk_csv(text) if slots is None else slots
 
 
-def _csv_fields(text: str) -> list[str] | None:
-    """The fields of the rows that are not blank, in order, or None unless the
-    text is unquoted and every such row has 5 fields."""
+def _csv_columns(text: str) -> tuple[ProgrammeSlot, ...] | None:
+    """The slots, checked and converted a whole column at a time, or None
+    unless the text is unquoted, every row that is not blank has 5 fields
+    and every field is good."""
     # Unquoted, each line is a row split at commas. (Before Python 3.11 the
     # reader refuses NUL.) A CRLF splits as two line ends; blank lines are skipped.
     if '"' in text or "\0" in text:
@@ -168,11 +168,7 @@ def _csv_fields(text: str) -> list[str] | None:
     lines = list(filter(str.strip, lines))
     if set(map(str.count, lines, repeat(","))) != {4}:  # also no rows at all
         return None
-    return ",".join(lines).split(",")
-
-
-def _csv_slots(fields: list[str]) -> tuple[ProgrammeSlot, ...] | None:
-    """The slots of a header row and body rows, flattened, or None if a row is bad."""
+    fields = ",".join(lines).split(",")
     if [c.strip().lower() for c in fields[:5]] != CSV_HEADER:
         return None
     channels, titles, starts, ends, viewers = (fields[i::5] for i in range(5, 10))
@@ -185,17 +181,11 @@ def _csv_slots(fields: list[str]) -> tuple[ProgrammeSlot, ...] | None:
         viewers = tuple(map(int, viewers))
     except ValueError:  # longer than int()'s digit limit
         return None
-    return _column_slots(channels, titles, starts, ends, viewers)
-
-
-def _column_slots(channels: Sequence[str], titles: Sequence[str], starts: Sequence[str],
-                  ends: Sequence[str], viewers: Sequence[int]) -> tuple[ProgrammeSlot, ...] | None:
-    """The slots of these columns, or None if a field is bad."""
     channels = tuple(map(str.strip, channels))
     titles = tuple(map(str.strip, titles))
     start_min = tuple(map(_TIMES.get, map(str.strip, starts)))
     end_min = tuple(map(_TIMES.get, map(str.strip, ends)))
-    if (all(channels) and all(titles) and min(viewers) >= 0 and None not in start_min
+    if (all(channels) and all(titles) and None not in start_min
             and None not in end_min and len(set(titles)) == len(titles)):
         return tuple(map(tuple.__new__, repeat(ProgrammeSlot),
                          zip(channels, titles, start_min, end_min, viewers)))
@@ -203,7 +193,7 @@ def _column_slots(channels: Sequence[str], titles: Sequence[str], starts: Sequen
 
 
 def _walk_csv(text: str) -> tuple[ProgrammeSlot, ...]:
-    """_parse_csv row by row: reads what _csv_fields leaves (quotes, NUL, blank
+    """_parse_csv row by row: reads what _csv_columns leaves (quotes, NUL, blank
     text, other field counts) and names a fault with its file line."""
     reader = csv.reader(io.StringIO(text, newline=""))  # LF, CRLF or bare CR
     numbered: list[tuple[int, list[str]]] = []  # (file line the row starts on, row)
@@ -241,32 +231,9 @@ def _parse_json(text: str) -> tuple[ProgrammeSlot, ...]:
         raise ScheduleError(f"invalid JSON: {exc}") from None
     if not isinstance(data, dict) or not isinstance(data.get("slots"), list):
         raise ScheduleError('expected a top-level object with a "slots" list')
-    records = data["slots"]
-    slots = _json_slots(records)
-    return _walk_json(records) if slots is None else slots
-
-
-def _json_slots(records: list) -> tuple[ProgrammeSlot, ...] | None:
-    """The slots of a list of records, or None if a record is bad."""
-    if not records:
-        return ()
-    if set(map(type, records)) != {dict}:  # json.loads makes no subclasses
-        return None
-    try:
-        channels, titles, starts, ends, viewers = zip(*map(itemgetter(*CSV_HEADER), records))
-    except KeyError:  # a missing field
-        return None
-    if (set(map(type, channels + titles + starts + ends)) != {str}
-            or set(map(type, viewers)) != {int}):  # bool is not int here
-        return None
-    return _column_slots(channels, titles, starts, ends, viewers)
-
-
-def _walk_json(records: list) -> tuple[ProgrammeSlot, ...]:
-    """_parse_json record by record, so that a fault is named with its index."""
     slots: list[ProgrammeSlot] = []
     seen: set[str] = set()
-    for i, rec in enumerate(records):
+    for i, rec in enumerate(data["slots"]):
         if not isinstance(rec, dict):
             raise ScheduleError(f"slot {i} is not an object")
         missing = [k for k in CSV_HEADER if k not in rec]

@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import io
 import json
 import os
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 
 from sessionpick import solve_mwkc
 from sessionpick.cli import _build_parser, main
-from sessionpick.schedule import (format_time, parse_schedule, to_intervals,
+from sessionpick.schedule import (CSV_HEADER, format_time, parse_schedule, to_intervals,
                                   validate_schedule)
 
 from conftest import FIXTURES, reference_session_table, reference_solution_payload
@@ -529,3 +530,220 @@ def test_fuzz_check_exits_cleanly(solution):
         sol = Path(tmp) / "sol.json"
         sol.write_bytes(solution)
         assert _quiet_main(["check", "--input", DEMO, str(sol)]) in (0, 1, 2)
+
+
+# schedule fields that parse, and ones that break each check of the parsers
+_field = st.sampled_from(["A", " B ", "x", "y", " x", '"x"', '"a,b"', '""', '"', "\x00",
+                          "01:00", "9:30", "24:00", "25:00", "9:60", "", " ", "0", "7", "-1",
+                          "+5", "1.0", "\u0663", "9" * 4400, "\u00e9"])
+_BIG = "@big@"  # json.dumps refuses an int over the digit limit, so it goes in as text
+_good_slots = st.lists(
+    st.tuples(st.sampled_from(["A", "B", " C "]), st.sampled_from(["x", "y", "z", "w", "v"]),
+              st.sampled_from(["01:00", "9:30"]), st.sampled_from(["10:45", "24:00"]),
+              st.sampled_from(["0", "7", "42"])),
+    max_size=5, unique_by=lambda row: row[1])
+_csv_file = st.builds(
+    lambda header, rows, bad, tail: "\n".join(
+        (["channel,title,start,end,viewers"] if header else [])
+        + [",".join(row) for row in rows + bad]).encode() + tail,
+    st.sampled_from([True, True, True, False]), _good_slots,
+    st.lists(st.lists(_field, min_size=3, max_size=6), max_size=1),
+    st.sampled_from([b"", b"\n", b"\r\n", b"\n", b"\xff\xfe"]))
+_json_file = st.builds(
+    lambda rows, bad: json.dumps({"slots": [dict(zip(CSV_HEADER, row[:4] + (int(row[4]),)))
+                                            for row in rows] + bad})
+    .replace(f'"{_BIG}"', "9" * 4400).encode(),
+    _good_slots,
+    st.lists(st.fixed_dictionaries({}, optional=dict.fromkeys(
+        CSV_HEADER, _field | st.integers(-2, 9) | st.none() | st.booleans() | st.just(1.5)
+        | st.just(_BIG) | st.lists(st.just("x"), max_size=1)))
+        | st.sampled_from([1, "x", None, []]), max_size=1))
+
+
+@st.composite
+def cli_calls(draw):
+    """A call of any subcommand with any of its flags, on a schedule and a
+    solution file that may be malformed at any level."""
+    command = draw(st.sampled_from(["validate", "cliques", "network", "solve", "oracle",
+                                    "check"]))
+    fmt = draw(st.sampled_from(["csv", "json", "bytes", "demo10"]))
+    schedule = draw({"csv": _csv_file, "json": _json_file, "bytes": st.binary(max_size=80),
+                     "demo10": st.just(Path(DEMO).read_bytes())}[fmt])
+    argv = [command, "--input", "schedule.json" if fmt == "json" else "schedule.csv"]
+    if draw(st.sampled_from([False, False, False, True])):
+        argv += ["--format", draw(st.sampled_from(["csv", "json"]))]
+    if command != "validate" and draw(st.booleans()):
+        argv += ["--exclude", draw(st.sampled_from(["x", "x,y", " , ", "nope"]))]
+    if command in ("network", "solve", "oracle", "check") and draw(
+            st.sampled_from([True, True, True, False])):
+        argv += ["--k", draw(st.sampled_from(["1", "3", "0", str(10**20)]))]
+    if command == "network" and draw(st.booleans()):
+        argv += ["--dump", draw(st.sampled_from(["dot", "json"]))]
+    if draw(st.sampled_from([False, False, False, True])):
+        argv += ["--output", draw(st.sampled_from(["out.json", "missing/out.json"]))]
+    solution = None
+    if command == "check":
+        solution = draw(st.binary(max_size=80) | _solution_like)
+        argv.append("solution.json")
+    return argv, schedule, solution
+
+
+@settings(max_examples=300, deadline=None)
+@given(call=cli_calls())
+def test_fuzz_every_command_exits_cleanly(call):
+    argv, schedule, solution = call
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in ("schedule.csv", "schedule.json"):
+            (Path(tmp) / name).write_bytes(schedule)
+        if solution is not None:
+            (Path(tmp) / "solution.json").write_bytes(solution)
+        argv = [str(Path(tmp) / arg) if arg.endswith((".csv", ".json")) else arg
+                for arg in argv]
+        assert _quiet_main(argv) in (0, 1, 2)
+
+
+class _FailingStream(io.StringIO):
+    """A text stream whose write, or whose flush, raises exc."""
+
+    def __init__(self, exc: OSError, on: str):
+        super().__init__()
+        self.exc = exc
+        self.on = on
+
+    def write(self, text):
+        if self.on == "write":
+            raise self.exc
+        return super().write(text)
+
+    def flush(self):
+        if self.on == "flush":
+            raise self.exc
+
+
+_WRITE_ERRORS = [BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE)),
+                 OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))]
+_PRINTING_CALLS = [["solve", "--input", DEMO, "--k", "2"], ["validate", "--input", DEMO],
+                   ["network", "--input", DEMO, "--k", "2", "--dump", "dot"]]
+
+
+@pytest.mark.parametrize("exc", _WRITE_ERRORS, ids=["EPIPE", "ENOSPC"])
+@pytest.mark.parametrize("on", ["write", "flush"])
+@pytest.mark.parametrize("argv", _PRINTING_CALLS, ids=["solve", "validate", "network"])
+def test_failed_stdout_is_one_error_line(exc, on, argv):
+    before = os.fstat(1)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(_FailingStream(exc, on)), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code == 2
+    assert err.getvalue().endswith(f"error: cannot write output: {exc}\n")
+    assert err.getvalue().count("error:") == 1
+    after = os.fstat(1)  # a stream that is not this process's fd 1 leaves fd 1 alone
+    assert (after.st_dev, after.st_ino) == (before.st_dev, before.st_ino)
+
+
+@pytest.mark.parametrize("exc", _WRITE_ERRORS, ids=["EPIPE", "ENOSPC"])
+@pytest.mark.parametrize("argv,stdout", [
+    (_PRINTING_CALLS[0], (GOLDEN / "solve_demo10_k2.json").read_text()),
+    (_PRINTING_CALLS[1], '{\n  "issues": []\n}\n'),
+    (["solve", "--input", "missing.csv", "--k", "2"], ""),
+], ids=["solve", "validate", "error-line"])
+def test_failed_stderr_keeps_stdout_and_exits_2(exc, argv, stdout):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(_FailingStream(exc, "write")):
+        code = main(argv)
+    assert code == 2
+    assert out.getvalue() == stdout
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_full_stdout_file_object_leaves_fd_1_alone():
+    before = os.fstat(1)
+    err = io.StringIO()
+    full = open("/dev/full", "w")
+    try:
+        with contextlib.redirect_stdout(full), contextlib.redirect_stderr(err):
+            code = main(["solve", "--input", DEMO, "--k", "2"])
+    finally:
+        with contextlib.suppress(OSError):  # the unwritten text fails the flush again
+            full.close()
+    assert code == 2
+    assert err.getvalue().endswith("error: cannot write output: [Errno 28] No space left on "
+                                   "device\n")
+    after = os.fstat(1)
+    assert (after.st_dev, after.st_ino) == (before.st_dev, before.st_ino)
+
+
+def _child_env(unbuffered: bool) -> dict[str, str]:
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return env
+
+
+def _run_child(stdout, unbuffered: bool, *argv: str) -> subprocess.CompletedProcess:
+    """argv, or a solve of demo10, in a child under -X dev -W error, with its
+    stdout on the given descriptor."""
+    return subprocess.run(
+        [sys.executable, "-X", "dev", "-W", "error", "-m", "sessionpick",
+         *(argv or ["solve", "--input", DEMO, "--k", "2"])],
+        stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=60,
+        env=_child_env(unbuffered))
+
+
+def _assert_one_clean_error(proc: subprocess.CompletedProcess, message: str) -> None:
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "Exception ignored" not in proc.stderr
+    assert proc.stderr.endswith(f"error: cannot write output: {message}\n")
+    assert proc.stderr.count("error:") == 1
+
+
+def _closed_pipe_run(unbuffered: bool, *argv: str) -> subprocess.CompletedProcess:
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # closed before the child writes: every write is EPIPE
+    try:
+        return _run_child(write_end, unbuffered, *argv)
+    finally:
+        os.close(write_end)
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+def test_closed_stdout_pipe_exits_2_without_traceback(unbuffered):
+    _assert_one_clean_error(_closed_pipe_run(unbuffered), "[Errno 32] Broken pipe")
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+def test_help_into_closed_pipe_exits_without_traceback(unbuffered):
+    # argparse drops a failed write of its help; a buffered one fails at the flush
+    proc = _closed_pipe_run(unbuffered, "--help")
+    assert proc.returncode == (0 if unbuffered else 2), proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "Exception ignored" not in proc.stderr
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+def test_full_stdout_device_exits_2_without_traceback(unbuffered):
+    with open("/dev/full", "wb") as full:
+        proc = _run_child(full, unbuffered)
+    _assert_one_clean_error(proc, "[Errno 28] No space left on device")
+
+
+def test_every_command_runs_clean_with_warnings_as_errors(tmp_path):
+    solution = tmp_path / "solution.json"
+    calls = [
+        ["validate", "--input", DEMO],
+        ["solve", "--input", DEMO, "--k", "2", "--output", str(solution)],
+        ["cliques", "--input", THREE],
+        ["network", "--input", DEMO, "--k", "2", "--dump", "dot"],
+        ["oracle", "--input", DEMO, "--k", "2"],
+        ["check", "--input", DEMO, str(solution)],
+    ]
+    for argv in calls:
+        proc = subprocess.run(
+            [sys.executable, "-X", "dev", "-W", "error", "-m", "sessionpick", *argv],
+            capture_output=True, text=True, timeout=60, env=_child_env(False))
+        assert proc.returncode == 0, (argv, proc.stderr)
+        assert "Warning" not in proc.stderr, (argv, proc.stderr)

@@ -15,6 +15,7 @@ from sessionpick import (
     to_intervals,
     validate_schedule,
 )
+from sessionpick import schedule
 from sessionpick.schedule import CSV_HEADER, format_time, parse_time
 
 from conftest import reference_parse_schedule, reference_parse_time, reference_validate_schedule
@@ -271,6 +272,75 @@ def csv_sources(draw):
 def test_parse_csv_matches_reference(source):
     assert (_parse_outcome(parse_schedule, source, "csv")
             == _parse_outcome(reference_parse_schedule, source, "csv"))
+
+
+class _Walked(Exception):
+    """Raised by a stand-in for the row walk, so a test sees that it was reached."""
+
+
+def _walked(text):
+    raise _Walked(text)
+
+
+@st.composite
+def unquoted_csv_sources(draw):
+    """Valid unquoted CSV, as text or UTF-8 bytes: a padded header, padded
+    fields, LF, CRLF or bare-CR line ends, blank and whitespace-only lines
+    anywhere, and perhaps a BOM."""
+    pad = st.sampled_from(["", " ", "\t", " \t "])
+    blank = st.lists(st.sampled_from(["", " ", "\t", "\x0c", "\x1c\x85"]), max_size=2)
+    eols = st.sampled_from(["\n", "\r\n", "\r"])
+    header = draw(st.sampled_from([CSV_HEADER, ["Channel", "TITLE", "Start", "END", "Viewers"]]))
+    lines = draw(blank) + [",".join(draw(pad) + name + draw(pad) for name in header)]
+    times = st.integers(0, 1440).map(format_time) | st.sampled_from(["0:00", "7:05", "9:30"])
+    viewers = st.integers(0, 10**30).map(str) | st.sampled_from(["0042", "9" * 4300])
+    for i in range(draw(st.integers(min_value=0, max_value=8))):
+        fields = [draw(st.sampled_from(["A", "chB", "\u00e9\u65e5", "x y"])),
+                  f"t{i}" + draw(st.sampled_from(["", "\x0b", "\u2028", "\x85x"])),
+                  draw(times), draw(times), draw(viewers)]
+        lines += draw(blank) + [",".join(draw(pad) + field + draw(pad) for field in fields)]
+    lines += draw(blank)
+    text = draw(st.sampled_from(["", "\ufeff"])) + "".join(line + draw(eols) for line in lines)
+    if draw(st.booleans()):  # no line end after the last line
+        text = text.rstrip("\r\n")
+    return text.encode() if draw(st.booleans()) else text
+
+
+@settings(max_examples=300, deadline=None)
+@given(source=unquoted_csv_sources())
+@example(source="channel,title,start,end,viewers")  # a header alone is an empty schedule
+def test_unquoted_csv_never_reaches_the_row_walk(source):
+    expected = reference_parse_schedule(source, "csv")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(schedule, "_walk_csv", _walked)
+        assert parse_schedule(source, "csv") == expected
+
+
+_FAULTY_ROWS = {
+    "quoted": 'A,"x",01:00,02:00,1', "quote-inside": 'A,x"y,01:00,02:00,1',
+    "nul": "A,x\x00,01:00,02:00,1", "4-fields": "A,x,01:00,02:00",
+    "6-fields": "A,x,01:00,02:00,1,2", "over-field-limit": "A," + "x" * 131073 + ",01:00,02:00,1",
+    "bad-start": "A,x,25:00,02:00,1", "bad-end": "A,x,01:00,9:60,1",
+    "empty-start": "A,x,,02:00,1", "negative-viewers": "A,x,01:00,02:00,-1",
+    "signed-viewers": "A,x,01:00,02:00,+5", "empty-viewers": "A,x,01:00,02:00,",
+    "float-viewers": "A,x,01:00,02:00,1.0", "non-ascii-viewers": "A,x,01:00,02:00,\u0663",
+    "over-digit-limit": "A,x,01:00,02:00," + _OVER_DIGIT_LIMIT,
+    "empty-channel": " ,x,01:00,02:00,1", "empty-title": "A, ,01:00,02:00,1",
+    "duplicate-title": "A,x,01:00,02:00,1\nB, x ,03:00,04:00,2",
+}
+_WALKED_SOURCES = {
+    **{name: f"channel,title,start,end,viewers\n{row}\n" for name, row in _FAULTY_ROWS.items()},
+    "empty": "", "blank": " \n\t\r\n", "bad-header": "channel,name,start,end,viewers\n",
+    "4-field-header": "channel,title,start,end\nA,x,01:00,02:00\n",
+}
+
+
+@pytest.mark.parametrize("source", _WALKED_SOURCES.values(), ids=_WALKED_SOURCES.keys())
+def test_quoted_csv_and_each_fault_reach_the_row_walk(source):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(schedule, "_walk_csv", _walked)
+        with pytest.raises(_Walked):
+            parse_schedule(source, "csv")
 
 
 @st.composite
