@@ -6,9 +6,8 @@ ordered maximal cliques of their overlap graph define a small DAG on which
 a minimum-cost k-unit flow yields the optimal selection exactly.
 """
 
-from .intervals import (CliqueSequence, GraphStats, compute_stats,
-                        connected_components, enumerate_maximal_cliques,
-                        overlaps)
+from .intervals import (CliqueSequence, connected_components,
+                        enumerate_maximal_cliques, overlaps)
 from .oracle import (CheckReport, InstanceTooLarge, OracleResult,
                      brute_force_mwkc, verify_solution)
 from .schedule import (IntervalInstance, ProgrammeSlot, ScheduleError,
@@ -22,13 +21,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CheckReport", "CliqueSequence", "EmptyInstance", "FlowNetwork",
-    "GraphStats", "InstanceTooLarge", "InternalInvariantViolation",
-    "IntervalInstance", "KcolourSolution", "OracleResult",
-    "ProgrammeSlot", "ScheduleError", "ValidationIssue",
-    "Vertex", "brute_force_mwkc",
-    "build_network", "compute_pi", "compute_stats", "connected_components",
-    "enumerate_maximal_cliques", "extract_solution", "overlaps",
-    "parse_schedule", "serialize_schedule", "solve_min_cost_k_flow",
-    "solve_mwkc", "to_intervals", "transform_weights", "validate_schedule",
-    "verify_solution",
+    "InstanceTooLarge", "InternalInvariantViolation", "IntervalInstance",
+    "KcolourSolution", "OracleResult", "ProgrammeSlot", "ScheduleError",
+    "ValidationIssue", "Vertex", "brute_force_mwkc", "build_network",
+    "compute_pi", "connected_components", "enumerate_maximal_cliques",
+    "extract_solution", "overlaps", "parse_schedule", "serialize_schedule",
+    "solve_min_cost_k_flow", "solve_mwkc", "to_intervals",
+    "transform_weights", "validate_schedule", "verify_solution",
 ]

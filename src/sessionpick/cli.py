@@ -234,7 +234,10 @@ def _cmd_check(args: argparse.Namespace) -> int:
     classes: list[tuple[int, ...]] = []
     for si, session in enumerate(sessions, start=1):
         members = []
-        claimed = session.get("weight")
+        claimed = session.get("weight")  # absent or null: not claimed
+        if claimed is not None and (isinstance(claimed, bool) or not isinstance(claimed, int)):
+            raise _CliError(f"{args.solution}: session {si}: weight must be an integer",
+                            EXIT_DATA)
         actual = 0
         slots = session.get("slots", [])
         if not _all_objects(slots):

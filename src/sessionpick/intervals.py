@@ -9,7 +9,7 @@ captures the whole adjacency structure.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from itertools import repeat
 from typing import NamedTuple
 
@@ -43,13 +43,6 @@ class CliqueSequence(NamedTuple):
             for i in range(p - 1, q):
                 members[i].append(vid)
         return tuple(tuple(m) for m in members)
-
-
-class GraphStats(NamedTuple):
-    n: int
-    m: int
-    omega: int
-    components: tuple[tuple[int, ...], ...]
 
 
 def enumerate_maximal_cliques(inst: IntervalInstance) -> CliqueSequence:
@@ -106,23 +99,3 @@ def connected_components(inst: IntervalInstance) -> list[list[int]]:
             comps.append([v.vertex_id])
             reach = v.f
     return comps
-
-
-def compute_stats(inst: IntervalInstance) -> GraphStats:
-    """n, m, omega and the components, counted over the sorted endpoints.
-
-    The u with s_u < f_v, less those with f_u <= s_v, are v's neighbours
-    plus v itself. omega is the deepest point, which lies just after a start.
-    """
-    starts = sorted(v.s for v in inst.vertices)
-    finishes = sorted(v.f for v in inst.vertices)
-    closed = sum(bisect_left(starts, v.f) - bisect_right(finishes, v.s)
-                 for v in inst.vertices)
-    omega = max((bisect_right(starts, s) - bisect_right(finishes, s)
-                 for s in starts), default=0)
-    return GraphStats(
-        n=inst.n,
-        m=(closed - inst.n) // 2,
-        omega=omega,
-        components=tuple(tuple(c) for c in connected_components(inst)),
-    )

@@ -85,12 +85,11 @@ def brute_force_mwkc(inst: IntervalInstance, k: int, limit: int = 20) -> OracleR
     total = 0
     subset: set[int] = set()
     explored = 0
-    by_id = {v.vertex_id: v for v in inst.vertices}
     for comp in connected_components(inst):
         if len(comp) > limit:
             raise InstanceTooLarge(
                 f"component with {len(comp)} intervals exceeds the search limit {limit}")
-        weight, ids, nodes = _search_component([by_id[vid] for vid in comp], k)
+        weight, ids, nodes = _search_component([inst.vertices[vid] for vid in comp], k)
         total += weight
         subset.update(ids)
         explored += nodes

@@ -143,15 +143,11 @@ def parse_schedule(source: bytes | str, fmt: str = "csv") -> tuple[ProgrammeSlot
     else:
         text = source.removeprefix("\ufeff")  # the one BOM utf-8-sig drops from bytes
     if fmt == "csv":
-        return _parse_csv(text)
+        slots = _csv_columns(text)
+        return _walk_csv(text) if slots is None else slots
     if fmt == "json":
         return _parse_json(text)
     raise ScheduleError(f"unknown format {fmt!r}, expected csv or json")
-
-
-def _parse_csv(text: str) -> tuple[ProgrammeSlot, ...]:
-    slots = _csv_columns(text)
-    return _walk_csv(text) if slots is None else slots
 
 
 def _csv_columns(text: str) -> tuple[ProgrammeSlot, ...] | None:
@@ -193,7 +189,7 @@ def _csv_columns(text: str) -> tuple[ProgrammeSlot, ...] | None:
 
 
 def _walk_csv(text: str) -> tuple[ProgrammeSlot, ...]:
-    """_parse_csv row by row: reads what _csv_columns leaves (quotes, NUL, blank
+    """CSV row by row: reads what _csv_columns leaves (quotes, NUL, blank
     text, other field counts) and names a fault with its file line."""
     reader = csv.reader(io.StringIO(text, newline=""))  # LF, CRLF or bare CR
     numbered: list[tuple[int, list[str]]] = []  # (file line the row starts on, row)

@@ -9,7 +9,7 @@ from sessionpick import (
     brute_force_mwkc,
     build_network,
     compute_pi,
-    compute_stats,
+    connected_components,
     enumerate_maximal_cliques,
     parse_schedule,
     solve_min_cost_k_flow,
@@ -101,7 +101,7 @@ def test_acceptance_3_three_channel_regression(three_channels_csv, capsys):
         inst = _instance(three_channels_csv)
         t0 = time.perf_counter()
         cs = enumerate_maximal_cliques(inst)
-        assert cs.r == 28 and len(compute_stats(inst).components) == 8
+        assert cs.r == 28 and len(connected_components(inst)) == 8
 
         first = _as_solution(
             inst,
@@ -178,7 +178,7 @@ def test_acceptance_5_structural_invariants(capsys):
                 member_of = [i + 1 for i, c in enumerate(cs.cliques) if v.vertex_id in c]
                 p, q = cs.spans[v.vertex_id]
                 assert member_of == list(range(p, q + 1))
-            omega = compute_stats(inst).omega
+            omega = max_depth(inst)
             totals = []
             for k in range(1, omega + 2):
                 net = build_network(cs, inst, k)

@@ -180,6 +180,36 @@ def test_check_rejects_tampered_weight(tmp_path, capsys):
     assert "FAIL" in err
 
 
+@pytest.mark.parametrize("retype", [bool, float, str], ids=["bool", "float", "string"])
+def test_check_rejects_non_integer_session_weight(tmp_path, capsys, retype):
+    # the true weight in another type: 18.0 == 18, and True counts as 1
+    solution = tmp_path / "sol.json"
+    run_cli(capsys, "solve", "--input", DEMO, "--k", "2", "--output", str(solution))
+    data = json.loads(solution.read_text())
+    data["sessions"][1]["weight"] = retype(data["sessions"][1]["weight"])
+    solution.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, "check", "--input", DEMO, str(solution))
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {solution}: session 2: weight must be an integer\n"
+
+
+@pytest.mark.parametrize("weight", ["absent", None], ids=["absent", "null"])
+def test_check_unclaimed_session_weight_is_not_checked(tmp_path, capsys, weight):
+    solution = tmp_path / "sol.json"
+    run_cli(capsys, "solve", "--input", DEMO, "--k", "2", "--output", str(solution))
+    data = json.loads(solution.read_text())
+    if weight == "absent":
+        del data["sessions"][0]["weight"]
+    else:
+        data["sessions"][0]["weight"] = weight
+    solution.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, "check", "--input", DEMO, str(solution))
+    assert code == 0
+    assert json.loads(out)["ok"] is True
+    assert err.startswith("PASS: 2 sessions")
+
+
 def test_check_rejects_unknown_slot(tmp_path, capsys):
     solution = tmp_path / "sol.json"
     solution.write_text(json.dumps({

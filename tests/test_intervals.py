@@ -5,7 +5,6 @@ import pytest
 from sessionpick import (
     CliqueSequence,
     Vertex,
-    compute_stats,
     connected_components,
     enumerate_maximal_cliques,
     overlaps,
@@ -64,8 +63,7 @@ def test_empty_instance():
     assert cs == reference_clique_sequence(inst) == CliqueSequence((), ())
     assert cs.r == 0
     assert cs.cliques == ()
-    stats = compute_stats(inst)
-    assert (stats.n, stats.m, stats.omega, stats.components) == (0, 0, 0, ())
+    assert (inst.n, max_depth(inst), connected_components(inst)) == (0, 0, [])
 
 
 def test_sweep_spans_at_tied_endpoints():
@@ -85,23 +83,19 @@ def test_two_disjoint_intervals():
     cs = enumerate_maximal_cliques(inst)
     assert cs.cliques == ((0,), (1,))
     assert connected_components(inst) == [[0], [1]]
-    assert compute_stats(inst).m == 0
 
 
 def test_identical_intervals_form_one_clique():
     inst = make_instance([(1, 4, 2), (1, 4, 3)])
     cs = enumerate_maximal_cliques(inst)
     assert cs.cliques == ((0, 1),)
-    stats = compute_stats(inst)
-    assert (stats.m, stats.omega, stats.components) == (1, 2, ((0, 1),))
+    assert (max_depth(inst), connected_components(inst)) == (2, [[0, 1]])
 
 
 def test_demo10_stats(demo10):
-    stats = compute_stats(demo10)
-    assert stats.n == 10
-    assert stats.m == 16
-    assert stats.omega == 4
-    assert len(stats.components) == 1
+    assert demo10.n == 10
+    assert max_depth(demo10) == 4
+    assert len(connected_components(demo10)) == 1
 
 
 def test_demo10_components(demo10):
@@ -114,11 +108,9 @@ def test_demo10_components(demo10):
 def test_three_channels_shape(three_channels_csv):
     inst = to_intervals(parse_schedule(three_channels_csv.read_text(), "csv"))
     cs = enumerate_maximal_cliques(inst)
-    stats = compute_stats(inst)
-    assert stats.n == 54
+    assert inst.n == 54
     assert cs.r == 28
-    assert stats.omega == 3
-    assert len(stats.components) == 8
+    assert max_depth(inst) == 3
     assert sorted(len(c) for c in connected_components(inst)) == [1, 3, 3, 5, 5, 5, 13, 19]
 
 
@@ -133,4 +125,4 @@ def test_cliques_match_subset_enumeration():
             member_of = [i + 1 for i, c in enumerate(cs.cliques) if v.vertex_id in c]
             p, q = cs.spans[v.vertex_id]
             assert member_of == list(range(p, q + 1))
-        assert compute_stats(inst).omega == max(map(len, cs.cliques)) == max_depth(inst)
+        assert max(map(len, cs.cliques)) == max_depth(inst)

@@ -5,10 +5,10 @@ from hypothesis import strategies as st
 
 from sessionpick import (
     InternalInvariantViolation,
+    IntervalInstance,
     brute_force_mwkc,
     build_network,
     compute_pi,
-    compute_stats,
     connected_components,
     enumerate_maximal_cliques,
     extract_solution,
@@ -90,10 +90,7 @@ def test_clique_sequence_shape(inst):
 @given(inst=instances())
 def test_omega_is_max_point_depth(inst):
     cs = enumerate_maximal_cliques(inst)
-    stats = compute_stats(inst)
-    assert stats.omega == max(map(len, cs.cliques)) == max_depth(inst)
-    assert stats.m == sum(overlaps(u, v) for u in inst.vertices for v in inst.vertices
-                          if u.vertex_id < v.vertex_id)
+    assert max(map(len, cs.cliques)) == max_depth(inst)
 
 
 @settings(max_examples=100, deadline=None)
@@ -196,7 +193,7 @@ def test_extraction_rejects_corrupted_flow_like_reference(inst, k, data):
 def test_flow_and_extraction_past_omega_equal_reference(inst, data):
     # at and past omega the flow stops once two rounds in a row take the
     # clique-arc chain, and extraction counts the sessions that select nothing
-    omega = compute_stats(inst).omega
+    omega = max_depth(inst)
     k = omega + data.draw(st.integers(min_value=0, max_value=2 * omega + 3))
     net = build_network(enumerate_maximal_cliques(inst), inst, k)
     weight_u = transform_weights(net, compute_pi(net))
@@ -233,6 +230,20 @@ def test_solver_matches_exhaustive_search(inst, k):
 
 
 @settings(max_examples=100, deadline=None)
+@given(inst=instances(), k=ks, data=st.data())
+def test_instance_from_shuffled_vertices_solves_alike(inst, k, data):
+    # IntervalInstance keeps vertex i at position i whatever order it is
+    # given, which lets brute_force_mwkc index its vertices by id
+    shuffled = IntervalInstance(tuple(data.draw(st.permutations(inst.vertices))))
+    best = brute_force_mwkc(inst, k)
+    assert brute_force_mwkc(shuffled, k) == best
+    sol = solve_mwkc(shuffled, k)
+    report = verify_solution(sol, shuffled, k)
+    assert report.ok
+    assert report.total_weight == sol.total_weight == best.best_weight
+
+
+@settings(max_examples=100, deadline=None)
 @given(inst=instances())
 def test_k1_weight_is_longest_path(inst):
     cs = enumerate_maximal_cliques(inst)
@@ -243,7 +254,7 @@ def test_k1_weight_is_longest_path(inst):
 @settings(max_examples=75, deadline=None)
 @given(inst=instances())
 def test_weights_grow_with_k_until_omega(inst):
-    omega = compute_stats(inst).omega
+    omega = max_depth(inst)
     totals = [solve_mwkc(inst, k).total_weight for k in range(1, omega + 2)]
     assert totals == sorted(totals)
     assert totals[-1] == totals[-2] == inst.total_weight  # k >= omega takes everything
