@@ -6,15 +6,15 @@ ordered maximal cliques of their overlap graph define a small DAG on which
 a minimum-cost k-unit flow yields the optimal selection exactly.
 """
 
-from .intervals import (CliqueSequence, connected_components,
-                        enumerate_maximal_cliques, overlaps)
 from .oracle import (CheckReport, InstanceTooLarge, OracleResult,
-                     brute_force_mwkc, verify_solution)
+                     brute_force_mwkc, connected_components, overlaps,
+                     verify_solution)
 from .schedule import (IntervalInstance, ProgrammeSlot, ScheduleError,
                        ValidationIssue, Vertex, parse_schedule,
                        serialize_schedule, to_intervals, validate_schedule)
-from .solver import (EmptyInstance, FlowNetwork, InternalInvariantViolation,
-                     KcolourSolution, build_network, compute_pi, extract_solution,
+from .solver import (CliqueSequence, EmptyInstance, FlowNetwork,
+                     InternalInvariantViolation, KcolourSolution, build_network,
+                     compute_pi, enumerate_maximal_cliques, extract_solution,
                      solve_min_cost_k_flow, solve_mwkc, transform_weights)
 
 __version__ = "0.1.0"

@@ -15,12 +15,11 @@ from functools import cache
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
-from .intervals import enumerate_maximal_cliques
 from .oracle import InstanceTooLarge, brute_force_mwkc, verify_solution
 from .schedule import (IntervalInstance, ProgrammeSlot, ScheduleError, ValidationIssue,
                        format_time, parse_schedule, to_intervals, validate_schedule)
 from .solver import (EmptyInstance, KcolourSolution, build_network, compute_pi,
-                     solve_mwkc, transform_weights)
+                     enumerate_maximal_cliques, solve_mwkc, transform_weights)
 
 EXIT_OK = 0
 EXIT_DATA = 1
@@ -364,7 +363,3 @@ def _stdout_to_devnull() -> None:
     devnull = os.open(os.devnull, os.O_WRONLY)
     os.dup2(devnull, 1)
     os.close(devnull)
-
-
-if __name__ == "__main__":
-    sys.exit(main())

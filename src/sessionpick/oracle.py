@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .intervals import connected_components, overlaps
 from .schedule import IntervalInstance, Vertex
 
 
@@ -30,9 +29,29 @@ class CheckReport(NamedTuple):
     class_weights: tuple[int, ...]
     total_weight: int
 
-    @property
-    def ok(self) -> bool:
-        return not self.violations
+
+def overlaps(a: Vertex, b: Vertex) -> bool:
+    """Open-interval intersection: endpoints may touch without overlapping."""
+    return a.s < b.f and b.s < a.f
+
+
+def connected_components(inst: IntervalInstance) -> list[list[int]]:
+    """Vertex ids grouped by overlap connectivity, in time order.
+
+    Components occupy disjoint stretches of the line, so in (start, id)
+    order a vertex opens a new one when it starts at or after the furthest
+    finish seen so far (touching does not overlap).
+    """
+    comps: list[list[int]] = []
+    reach = 0
+    for v in sorted(inst.vertices, key=lambda v: v.s):  # stable: ties keep id order
+        if comps and v.s < reach:
+            comps[-1].append(v.vertex_id)
+            reach = max(reach, v.f)
+        else:
+            comps.append([v.vertex_id])
+            reach = v.f
+    return comps
 
 
 def _search_component(vertices: list[Vertex], k: int) -> tuple[int, list[int], int]:
@@ -80,6 +99,8 @@ def brute_force_mwkc(inst: IntervalInstance, k: int, limit: int = 20) -> OracleR
     Optima add across components, so the limit guards each component rather
     than the whole instance.
     """
+    if type(k) is not int:
+        raise ValueError(f"k must be an integer, got {k!r}")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     total = 0
@@ -132,7 +153,7 @@ def verify_solution(sol, inst: IntervalInstance, k: int) -> CheckReport:
     union = set(seen)
     if set(sol.Q) != union:
         violations.append("Q does not equal the union of the classes")
-    recomputed = sum(by_id[vid].w for vid in union if vid in by_id)
+    recomputed = sum(by_id[vid].w for vid in union)
     if sol.total_weight != recomputed:
         violations.append(
             f"claimed total weight {sol.total_weight}, classes sum to {recomputed}")

@@ -1,5 +1,11 @@
 """Exact solver for maximum-weight k-colourable subgraphs of interval graphs.
 
+The graph is never materialized. Two vertices are adjacent iff their open
+intervals intersect, and interval graphs admit a linear order of their
+maximal cliques in which each vertex's clique memberships form one
+contiguous run, so a (p, q) index pair per vertex captures the whole
+adjacency structure.
+
 The clique order turns the problem into flow routing: nodes are the maximal
 cliques plus a source in front, consecutive nodes are joined by zero-weight
 c-arcs of capacity k, and every vertex contributes one i-arc of capacity 1
@@ -13,13 +19,12 @@ which flows are optimal).
 
 from __future__ import annotations
 
-from bisect import insort
+from bisect import bisect_left, insort
 from heapq import heappop, heappush
-from itertools import compress, islice
+from itertools import compress, islice, repeat
 from operator import itemgetter, mul, neg
 from typing import NamedTuple
 
-from .intervals import CliqueSequence, enumerate_maximal_cliques
 from .schedule import IntervalInstance
 
 INF = float("inf")
@@ -32,6 +37,68 @@ class EmptyInstance(ValueError):
 class InternalInvariantViolation(RuntimeError):
     """A structural guarantee of the construction failed; this is a bug,
     never a property of the input."""
+
+
+class CliqueSequence(NamedTuple):
+    """Maximal cliques C_1..C_r ordered by leading point.
+
+    leading_points[i] is the largest member start of C_{i+1}, the leftmost
+    coordinate where all its members coexist. spans[v] is vertex v's 1-based
+    (p, q) run of clique indices; the runs alone fix every clique.
+    """
+
+    leading_points: tuple[int, ...]
+    spans: tuple[tuple[int, int], ...]  # indexed by vertex id
+
+    @property
+    def r(self) -> int:
+        return len(self.leading_points)
+
+    @property
+    def cliques(self) -> tuple[tuple[int, ...], ...]:
+        """Sorted member ids of each clique, rebuilt from the spans."""
+        members: list[list[int]] = [[] for _ in self.leading_points]
+        for vid, (p, q) in enumerate(self.spans):
+            for i in range(p - 1, q):
+                members[i].append(vid)
+        return tuple(tuple(m) for m in members)
+
+
+def enumerate_maximal_cliques(inst: IntervalInstance) -> CliqueSequence:
+    """Sweep the endpoints once, recording a clique at every first finish
+    after at least one start.
+
+    At such a finish with coordinate t, the active set is exactly
+    {u : s_u < t <= f_u}, which is a maximal clique, and the trigger
+    coordinates strictly increase. Only coordinates are swept: a finish at
+    t sees the starts below t, since touching intervals do not overlap.
+
+    The spans come off the same sweep. p is the first trigger above s, and
+    a start is swept by exactly that trigger: it lies below it and not
+    below the one before. q is the last trigger at or below f, which is
+    the trigger count once f has been read, because a finish that ties a
+    trigger adds no trigger of its own. Equal coordinates share their p and
+    their q, so one dict per endpoint kind maps them back to vertex order.
+    """
+    s_col = [v.s for v in inst.vertices]
+    f_col = [v.f for v in inst.vertices]
+    starts = sorted(s_col)
+    finishes = sorted(f_col)
+    leading: list[int] = []
+    p_of: list[int] = []  # p of each swept start, in start order
+    q_of: list[int] = []  # q of each finish, in finish order
+    seen = 0  # starts already behind the sweep
+    for f in finishes:
+        below = bisect_left(starts, f, seen)
+        if below > seen:
+            leading.append(starts[below - 1])
+            p_of += repeat(len(leading), below - seen)
+            seen = below
+        q_of.append(len(leading))
+    p_at = dict(zip(starts, p_of))
+    q_at = dict(zip(finishes, q_of))
+    spans = tuple(zip(map(p_at.__getitem__, s_col), map(q_at.__getitem__, f_col)))
+    return CliqueSequence(tuple(leading), spans)
 
 
 class FlowNetwork(NamedTuple):
@@ -60,6 +127,8 @@ class KcolourSolution(NamedTuple):
 def build_network(cs: CliqueSequence, inst: IntervalInstance, k: int) -> FlowNetwork:
     """c-arcs first, then one i-arc per vertex in vertex-id order, so arc
     ids are reproducible."""
+    if type(k) is not int:
+        raise ValueError(f"k must be an integer, got {k!r}")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     r = cs.r

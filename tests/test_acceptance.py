@@ -59,7 +59,7 @@ def test_acceptance_1_small_fixture_regression(demo10_csv, capsys):
         sol1 = solve_mwkc(inst, 1)
         elapsed = time.perf_counter() - t0
         assert sol2.total_weight == 34
-        assert verify_solution(sol2, inst, 2).ok
+        assert not verify_solution(sol2, inst, 2).violations
         assert len(sol2.classes) == 2
         assert sol1.total_weight == 20
         assert elapsed < 0.010, f"two solves took {elapsed * 1000:.2f} ms"
@@ -110,14 +110,14 @@ def test_acceptance_3_three_channel_regression(three_channels_csv, capsys):
             _expand("D", 1, 6) + ["N7"] + _expand("D", 9, 13) + ["N16", "N17"]
             + _expand("D", 16, 19))
         report = verify_solution(first, inst, 2)
-        assert report.ok and report.class_weights == (110, 74)
+        assert not report.violations and report.class_weights == (110, 74)
 
         second = _as_solution(
             inst,
             _expand("N", 1, 22) + ["A12"],
             ["A1"] + _expand("D", 1, 19))
         report = verify_solution(second, inst, 2)
-        assert report.ok and report.class_weights == (97, 87)
+        assert not report.violations and report.class_weights == (97, 87)
 
         sol1 = solve_mwkc(inst, 1)
         sol2 = solve_mwkc(inst, 2)
@@ -126,7 +126,7 @@ def test_acceptance_3_three_channel_regression(three_channels_csv, capsys):
         elapsed = time.perf_counter() - t0
         assert elapsed < 1.0, f"took {elapsed:.3f} s"
         assert sol1.total_weight == oracle1.best_weight
-        assert verify_solution(sol2, inst, 2).ok
+        assert not verify_solution(sol2, inst, 2).violations
         assert sol3.total_weight == 215
         # the first partition with A9 (18:00-19:00, 4 viewers) in place of
         # N16 + N17 (the same hour, 3 viewers) in its second session
@@ -137,7 +137,7 @@ def test_acceptance_3_three_channel_regression(three_channels_csv, capsys):
             _expand("D", 1, 6) + ["N7"] + _expand("D", 9, 13) + ["A9"]
             + _expand("D", 16, 19))
         report = verify_solution(third, inst, 2)
-        assert report.ok and report.class_weights == (110, 75)
+        assert not report.violations and report.class_weights == (110, 75)
         # the spec's two reference partitions weigh 184; swapping A9 for
         # N16 + N17 gives 185, the two-session optimum
         oracle2 = brute_force_mwkc(inst, 2)
@@ -159,7 +159,7 @@ def test_acceptance_4_oracle_equivalence(capsys):
             for k in (1, 2, 3):
                 sol = solve_mwkc(inst, k)
                 assert sol.total_weight == brute_force_mwkc(inst, k).best_weight
-                assert verify_solution(sol, inst, k).ok
+                assert not verify_solution(sol, inst, k).violations
 
 
 def test_acceptance_5_structural_invariants(capsys):
@@ -210,4 +210,4 @@ def test_acceptance_6_scale_smoke(capsys):
         sol = solve_mwkc(inst, 4)
         elapsed = time.perf_counter() - t0
         assert elapsed < 5.0, f"took {elapsed:.3f} s"
-        assert verify_solution(sol, inst, 4).ok
+        assert not verify_solution(sol, inst, 4).violations

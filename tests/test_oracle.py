@@ -54,14 +54,14 @@ def test_oracle_respects_component_limit_override():
 def test_verify_accepts_solver_output(demo10):
     for k in (1, 2, 3, 5):
         report = verify_solution(solve_mwkc(demo10, k), demo10, k)
-        assert report.ok
+        assert not report.violations
         assert report.violations == ()
         assert sum(report.class_weights) == report.total_weight
 
 
 def test_verify_accepts_empty_solution(demo10):
     sol = KcolourSolution(k=2, Q=frozenset(), classes=((), ()), total_weight=0)
-    assert verify_solution(sol, demo10, 2).ok
+    assert not verify_solution(sol, demo10, 2).violations
 
 
 def _sol(k, classes, total):
@@ -73,34 +73,34 @@ def test_verify_rejects_overlap_within_class(demo10):
     # vertices 0 (2,3) and 1 (1,6) overlap, so they cannot share a class
     sol = _sol(2, ((0, 1), (2,)), 14)
     report = verify_solution(sol, demo10, 2)
-    assert not report.ok
+    assert report.violations
     assert any("overlap" in v for v in report.violations)
 
 
 def test_verify_rejects_duplicate_vertex(demo10):
     sol = _sol(2, ((0,), (0,)), 10)
     report = verify_solution(sol, demo10, 2)
-    assert not report.ok
+    assert report.violations
 
 
 def test_verify_rejects_too_many_classes(demo10):
     sol = _sol(1, ((0,), (2,)), 11)
     report = verify_solution(sol, demo10, 1)
-    assert not report.ok
+    assert report.violations
 
 
 def test_verify_rejects_unknown_vertex(demo10):
     sol = _sol(2, ((0,), (42,)), 5)
-    assert not verify_solution(sol, demo10, 2).ok
+    assert verify_solution(sol, demo10, 2).violations
 
 
 def test_verify_rejects_q_class_mismatch(demo10):
     sol = KcolourSolution(k=2, Q=frozenset({0, 2}), classes=((0,),), total_weight=5)
-    assert not verify_solution(sol, demo10, 2).ok
+    assert verify_solution(sol, demo10, 2).violations
 
 
 def test_verify_rejects_wrong_total(demo10):
     sol = _sol(2, ((0,), (2,)), 99)
     report = verify_solution(sol, demo10, 2)
-    assert not report.ok
+    assert report.violations
     assert report.total_weight == 11  # the recomputed weight, not the claim

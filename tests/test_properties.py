@@ -226,7 +226,7 @@ def test_solver_matches_exhaustive_search(inst, k):
     sol = solve_checked(inst, k)
     assert sol.total_weight == per_component_total(inst, k)
     assert sol.total_weight == brute_force_mwkc(inst, k).best_weight
-    assert verify_solution(sol, inst, k).ok
+    assert not verify_solution(sol, inst, k).violations
 
 
 @settings(max_examples=100, deadline=None)
@@ -239,7 +239,7 @@ def test_instance_from_shuffled_vertices_solves_alike(inst, k, data):
     assert brute_force_mwkc(shuffled, k) == best
     sol = solve_mwkc(shuffled, k)
     report = verify_solution(sol, shuffled, k)
-    assert report.ok
+    assert not report.violations
     assert report.total_weight == sol.total_weight == best.best_weight
 
 

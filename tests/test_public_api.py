@@ -1,4 +1,5 @@
-"""The names `from sessionpick import ...` gives, and the benchmark's use of them."""
+"""The names `from sessionpick import ...` gives, the benchmark's use of them,
+and which package modules import which."""
 
 import ast
 from pathlib import Path
@@ -6,6 +7,7 @@ from pathlib import Path
 import sessionpick
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
+PACKAGE = Path(sessionpick.__file__).resolve().parent
 
 PUBLIC = [
     "CheckReport", "CliqueSequence", "EmptyInstance", "FlowNetwork",
@@ -39,3 +41,30 @@ def test_bench_imports_only_public_names():
     unknown = {name: where for name, where in imported.items()
                if name not in sessionpick.__all__}
     assert unknown == {}
+
+
+def _package_imports(path):
+    """The sibling modules one file of the package imports."""
+    modules = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            modules.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level and node.module:
+            modules.add(f"sessionpick.{node.module}")
+        elif isinstance(node, ast.ImportFrom) and (node.level or node.module == "sessionpick"):
+            # from . import x, or from sessionpick import x: x may be a module
+            # or a name from __init__, and either is a sibling import here
+            modules.update(f"sessionpick.{alias.name}" for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            modules.add(node.module)
+    return {name.split(".")[1] for name in modules if name.startswith("sessionpick.")}
+
+
+def test_module_graph():
+    # the oracle is ground truth for the solver, so the two share no code:
+    # each reads only the records in schedule, and only the entry points
+    # tie modules together
+    graph = {path.stem: _package_imports(path) for path in sorted(PACKAGE.glob("*.py"))}
+    entry_points = ("__init__", "__main__", "cli")
+    library = {name: deps for name, deps in graph.items() if name not in entry_points}
+    assert library == {"schedule": set(), "solver": {"schedule"}, "oracle": {"schedule"}}

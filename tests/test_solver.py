@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -243,7 +244,7 @@ def test_extract_solution_demo10(demo10):
     for cls in sol.classes:
         starts = [demo10.vertices[v].s for v in cls]
         assert starts == sorted(starts)
-    assert verify_solution(sol, demo10, 2).ok
+    assert not verify_solution(sol, demo10, 2).violations
 
 
 @pytest.mark.parametrize("k,expected", [(1, 20), (2, 34), (3, 38), (4, 39), (10, 39)])
@@ -251,7 +252,7 @@ def test_solve_mwkc_demo10_totals(demo10, k, expected):
     sol = solve_mwkc(demo10, k)
     assert sol.total_weight == expected
     assert len(sol.classes) == k
-    assert verify_solution(sol, demo10, k).ok
+    assert not verify_solution(sol, demo10, k).violations
 
 
 @pytest.mark.parametrize("shift", [-2 ** 61, 0, 2 ** 61])
@@ -275,6 +276,16 @@ def test_solve_mwkc_rejects_empty_and_bad_k(demo10):
         solve_mwkc(demo10, 0)
 
 
+@pytest.mark.parametrize("call", [solve_mwkc, _network, brute_force_mwkc],
+                         ids=["solve_mwkc", "build_network", "brute_force_mwkc"])
+@pytest.mark.parametrize("k", [2.0, True, "2", None])
+@pytest.mark.parametrize("triples", [[(0, 10, 1)], []], ids=["one", "empty"])
+def test_k_that_is_not_an_int_is_a_value_error(call, k, triples):
+    # checked before `k < 1` and before the empty-instance check
+    with pytest.raises(ValueError, match=rf"^k must be an integer, got {re.escape(repr(k))}$"):
+        call(make_instance(triples), k)
+
+
 def test_solve_mwkc_deterministic(demo10):
     a = solve_mwkc(demo10, 2)
     b = solve_mwkc(demo10, 2)
@@ -288,7 +299,7 @@ def test_solve_mwkc_cross_checks_components(demo10):
     sol = solve_checked(gapped, 2)
     assert sol.total_weight == per_component_total(gapped, 2)
     assert sol.total_weight == brute_force_mwkc(gapped, 2).best_weight == 25
-    assert verify_solution(sol, gapped, 2).ok
+    assert not verify_solution(sol, gapped, 2).violations
 
 
 def test_disconnected_instance_uses_all_classes_everywhere():
@@ -312,7 +323,7 @@ def test_random_instances_match_oracle_with_validation():
             sol = solve_checked(inst, k)
             assert sol.total_weight == per_component_total(inst, k)
             assert sol.total_weight == brute_force_mwkc(inst, k).best_weight
-            assert verify_solution(sol, inst, k).ok
+            assert not verify_solution(sol, inst, k).violations
 
 
 def test_three_channels_known_totals(three_channels_csv):
@@ -321,5 +332,5 @@ def test_three_channels_known_totals(three_channels_csv):
     # best two-session total; the independent oracle lands on the same value
     sol2 = solve_checked(inst, 2)
     assert sol2.total_weight == brute_force_mwkc(inst, 2).best_weight == 185
-    assert verify_solution(sol2, inst, 2).ok
+    assert not verify_solution(sol2, inst, 2).violations
     assert solve_mwkc(inst, 3).total_weight == inst.total_weight == 215
