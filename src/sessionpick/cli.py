@@ -11,9 +11,12 @@ import argparse
 import json
 import os
 import sys
+from collections.abc import Iterable, Iterator
 from functools import cache
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
+from typing import TextIO
 
 from .oracle import InstanceTooLarge, brute_force_mwkc, verify_solution
 from .schedule import (IntervalInstance, ProgrammeSlot, ScheduleError, ValidationIssue,
@@ -74,16 +77,27 @@ def _checked_instance(
     return schedule, inst
 
 
-def _emit(payload: dict | str, args: argparse.Namespace) -> None:
-    """Write a JSON payload, or text as it is, to --output or stdout."""
-    text = payload if isinstance(payload, str) else json.dumps(payload, indent=2) + "\n"
+def _emit(payload: dict | str | Iterator[str], args: argparse.Namespace) -> None:
+    """Write a JSON payload, text as it is, or text piece by piece, to
+    --output or stdout."""
+    if isinstance(payload, dict):
+        payload = json.dumps(payload, indent=2) + "\n"
+    pieces = [payload] if isinstance(payload, str) else payload
     if args.output:
         try:
-            Path(args.output).write_text(text)
+            with Path(args.output).open("w") as fh:
+                _write(fh, pieces)
         except OSError as exc:
             raise _CliError(f"cannot write {args.output}: {exc}", EXIT_USAGE) from None
     else:
-        sys.stdout.write(text)
+        _write(sys.stdout, pieces)
+
+
+def _write(stream: TextIO, pieces: Iterable[str]) -> None:
+    """Each piece in turn, through the stream's write alone: a stand-in
+    for stdout or stderr may have no writelines."""
+    for piece in pieces:
+        stream.write(piece)
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
@@ -141,23 +155,34 @@ def _cmd_network(args: argparse.Namespace) -> int:
 
 # json.dumps(payload, indent=2) of a solve result, one template per level;
 # strings go through the encoder json.dumps uses under ensure_ascii
-_SOLUTION = '{\n  "k": %d,\n  "total_weight": %d,\n  "sessions": [\n%s\n  ]\n}\n'
+_SOLUTION = '{\n  "k": %d,\n  "total_weight": %d,\n  "sessions": [\n%s'
+_SOLUTION_END = '\n  ]\n}\n'
 _SESSION = '    {\n      "weight": %d,\n      "slots": [\n%s\n      ]\n    }'
 _EMPTY_SESSION = '    {\n      "weight": 0,\n      "slots": []\n    }'
 _SLOT = ('        {\n          "slot_id": %s,\n          "channel": %s,\n'
          '          "title": %s,\n          "start": "%s",\n          "end": "%s",\n'
          '          "viewers": %d\n        }')
+_EMPTY_LINE = "session %d (weight 0):\n"
+_CHUNK = 1024  # empty sessions per piece of text
 
 
 def _solution_text(sol: KcolourSolution, schedule: tuple[ProgrammeSlot, ...],
-                   inst: IntervalInstance) -> tuple[str, str]:
-    """The solve result as JSON text and as the stderr table, in one walk."""
+                   inst: IntervalInstance) -> tuple[Iterator[str], Iterator[str]]:
+    """The solve result as JSON text and as the stderr table, each as pieces
+    to write in turn.
+
+    One walk formats the sessions with slots. extract_solution puts the
+    empty sessions last, and past omega they number k - omega, so their
+    text is made _CHUNK sessions at a time as it is written: neither text
+    is ever held whole."""
     slot_by_id = {slot.title: slot for slot in schedule}
     assert inst.provenance is not None
     provenance = inst.provenance
+    k = len(sol.classes)
+    busy = k - sol.classes.count(())
     sessions: list[str] = []
     table = [f"k={sol.k} total_weight={sol.total_weight}\n"]
-    for i, members in enumerate(sol.classes, start=1):
+    for i, members in enumerate(sol.classes[:busy], start=1):
         slots = []
         lines = []
         weight = 0
@@ -170,10 +195,17 @@ def _solution_text(sol: KcolourSolution, schedule: tuple[ProgrammeSlot, ...],
             slots.append(_SLOT % (quoted, encode_basestring_ascii(channel), quoted,
                                   start, end, viewers))
             lines.append("  %s-%s  %-12s %s  (%d)\n" % (start, end, channel, title, viewers))
-        sessions.append(_SESSION % (weight, ",\n".join(slots)) if slots else _EMPTY_SESSION)
+        sessions.append(_SESSION % (weight, ",\n".join(slots)))
         table.append(f"session {i} (weight {weight}):\n")
         table += lines
-    return (_SOLUTION % (sol.k, sol.total_weight, ",\n".join(sessions)), "".join(table))
+    runs = range(busy, k, _CHUNK)  # the first session of each piece of empty ones
+    return (chain([_SOLUTION % (sol.k, sol.total_weight, ",\n".join(sessions))],
+                  (",\n" * bool(a) + ",\n".join(repeat(_EMPTY_SESSION, min(_CHUNK, k - a)))
+                   for a in runs),
+                  [_SOLUTION_END]),
+            chain(["".join(table)],
+                  ("".join(map(_EMPTY_LINE.__mod__, range(a + 1, min(a + _CHUNK, k) + 1)))
+                   for a in runs)))
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
@@ -184,7 +216,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         raise _CliError(f"--k {args.k} is too large to solve", EXIT_DATA) from None
     text, table = _solution_text(sol, schedule, inst)
     _emit(text, args)
-    sys.stderr.write(table)
+    _write(sys.stderr, table)
     return EXIT_OK
 
 

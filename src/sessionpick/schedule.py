@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+from functools import cache
 from itertools import repeat
 from operator import and_, eq, ge, gt, itemgetter
 from typing import NamedTuple
@@ -25,15 +26,17 @@ class ScheduleError(ValueError):
     """Raised when input data cannot be parsed into a schedule."""
 
 
-# every accepted spelling, H:MM and HH:MM up to 24:00, to its minutes since 00:00
-_TIMES = {f"{hh}:{m:02d}": h * 60 + m for h in range(25) for hh in {str(h), f"{h:02d}"}
-          for m in range(60) if h * 60 + m <= MINUTES_PER_DAY}
+@cache  # built on the first parse, so a process that parses no time never pays for it
+def _times() -> dict[str, int]:
+    """Every accepted spelling, H:MM and HH:MM up to 24:00, to its minutes since 00:00."""
+    return {f"{hh}:{m:02d}": h * 60 + m for h in range(25) for hh in {str(h), f"{h:02d}"}
+            for m in range(60) if h * 60 + m <= MINUTES_PER_DAY}
 
 
 def parse_time(text: str) -> int:
     """Minutes since 00:00 of an H:MM or HH:MM time in ASCII digits, up to 24:00."""
     try:
-        return _TIMES[text.strip()]
+        return _times()[text.strip()]
     except KeyError:
         raise ValueError(f"bad time {text!r}, expected HH:MM up to 24:00") from None
 
@@ -179,8 +182,9 @@ def _csv_columns(text: str) -> tuple[ProgrammeSlot, ...] | None:
         return None
     channels = tuple(map(str.strip, channels))
     titles = tuple(map(str.strip, titles))
-    start_min = tuple(map(_TIMES.get, map(str.strip, starts)))
-    end_min = tuple(map(_TIMES.get, map(str.strip, ends)))
+    times = _times()
+    start_min = tuple(map(times.get, map(str.strip, starts)))
+    end_min = tuple(map(times.get, map(str.strip, ends)))
     if (all(channels) and all(titles) and None not in start_min
             and None not in end_min and len(set(titles)) == len(titles)):
         return tuple(map(tuple.__new__, repeat(ProgrammeSlot),

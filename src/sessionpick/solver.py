@@ -182,12 +182,15 @@ def solve_min_cost_k_flow(net: FlowNetwork, weight_u: list[int]) -> list[int]:
     in ascending id, the order in which a search scans them.
 
     Round 1 is one forward pass in node order, which is topological, over
-    forward edges only. Its augmenting path is Dijkstra's: the path costs 0
+    forward edges only, so it reads each edge's head and cost off its arc
+    and weight_u. Its augmenting path is Dijkstra's: the path costs 0
     (pi is tight), so its nodes have distance 0; Dijkstra pops those in
     ascending index, and with a strict < both searches keep the first
-    predecessor in index order, then its first edge in id order. Later
-    rounds run Dijkstra on reduced costs against the potentials phi, the
-    previous round's true distances. Heap keys reduced_dist * nodes + v
+    predecessor in index order, then its first edge in id order. At k = 1
+    that path is the flow. Otherwise the residual lists, which only the
+    Dijkstra rounds read, are built before it is pushed. Later rounds run
+    Dijkstra on reduced costs against the potentials phi, the previous
+    round's true distances. Heap keys reduced_dist * nodes + v
     order like (reduced_dist, v); a key that is not the last one pushed for
     its node is stale, as every push strictly lowers dist[v]. The all-c-arc
     chain keeps every node reachable in every round (c-arc flow is at most
@@ -200,17 +203,12 @@ def solve_min_cost_k_flow(net: FlowNetwork, weight_u: list[int]) -> list[int]:
     the first made live reverse tight edges), so the next search repeats it.
     """
     nodes = net.node_count
-    to = [0] * (2 * len(net.arcs))
-    to[0::2] = map(itemgetter(1), net.arcs)
-    to[1::2] = map(itemgetter(0), net.arcs)
-    cost = [0] * len(to)
-    cost[0::2] = weight_u
-    cost[1::2] = map(neg, weight_u)
-    residual = [net.k, 0] * net.r + [1, 0] * (len(net.arcs) - net.r)
+    arcs = net.arcs
     chain = list(range(0, 2 * net.r, 2))  # forward c-edges; parent[1:] on the chain path
     live = [[e] for e in chain] + [[]]  # c-arc u leaves node u, then i-arcs in id order
-    for e in range(2 * net.r, len(to), 2):
-        live[to[e + 1]].append(e)
+    tails = map(itemgetter(0), islice(arcs, net.r, None))
+    for e, tail in zip(range(2 * net.r, 2 * len(arcs), 2), tails):
+        live[tail].append(e)
     repeats = 0  # chain rounds in a row
 
     for rnd in range(net.k):
@@ -221,8 +219,9 @@ def solve_min_cost_k_flow(net: FlowNetwork, weight_u: list[int]) -> list[int]:
             for u, edges in enumerate(live):
                 base = dist[u]
                 for e in edges:
-                    v = to[e]
-                    t = base + cost[e]
+                    a = e >> 1
+                    v = arcs[a][1]
+                    t = base + weight_u[a]
                     if t < dist[v]:
                         dist[v] = t
                         parent[v] = e
@@ -247,6 +246,22 @@ def solve_min_cost_k_flow(net: FlowNetwork, weight_u: list[int]) -> list[int]:
         if INF in dist:
             raise InternalInvariantViolation(
                 f"node {dist.index(INF)} unreachable during augmentation")
+        if not rnd:  # only the Dijkstra rounds read the residual graph
+            if net.k == 1:  # so none is built, and the flow is round 1's path
+                flow = [0] * len(arcs)
+                u = net.r
+                while u:
+                    a = parent[u] >> 1
+                    flow[a] = 1
+                    u = arcs[a][0]
+                return flow
+            to = [0] * (2 * len(arcs))
+            to[0::2] = map(itemgetter(1), arcs)
+            to[1::2] = map(itemgetter(0), arcs)
+            cost = [0] * len(to)
+            cost[0::2] = weight_u
+            cost[1::2] = map(neg, weight_u)
+            residual = [net.k, 0] * net.r + [1, 0] * (len(arcs) - net.r)
         phi = dist
         u = net.r
         while u:
@@ -321,15 +336,16 @@ def extract_solution(flow: list[int], net: FlowNetwork,
 
 def solve_mwkc(inst: IntervalInstance, k: int) -> KcolourSolution:
     """Full pipeline: cliques, network, pi, transform, k-flow, extraction."""
-    cs = enumerate_maximal_cliques(inst)
-    net = build_network(cs, inst, k)
+    net = build_network(enumerate_maximal_cliques(inst), inst, k)
     pi = compute_pi(net)
     weight_u = transform_weights(net, pi)
+    pi0 = pi[0]
+    del pi  # only pi[0] is read again
     flow = solve_min_cost_k_flow(net, weight_u)
     sol = extract_solution(flow, net, inst)
     cost_u = sum(map(mul, weight_u, flow))
-    if sol.total_weight != k * pi[0] - cost_u:
+    if sol.total_weight != k * pi0 - cost_u:
         raise InternalInvariantViolation(
             f"selected weight {sol.total_weight} != k*pi[0] - cost "
-            f"({k}*{pi[0]} - {cost_u})")
+            f"({k}*{pi0} - {cost_u})")
     return sol

@@ -126,6 +126,40 @@ def test_solve_far_past_omega(capsys):
     assert busy == [session for session in json.loads(five)["sessions"] if session["slots"]]
 
 
+# runs main in a child and prints its exit code and peak RSS in KiB
+_REPORT_PEAK = ("import resource, sys\n"
+                "from sessionpick.cli import main\n"
+                "code = main(sys.argv[1:])\n"
+                "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
+
+
+def test_solve_far_past_omega_is_written_in_pieces(capsys, tmp_path):
+    # k = 10**6 on demo10 gives 50 MB of JSON and 27 MB of table, nearly all
+    # of it empty sessions; no whole text is held, so the peak stays far
+    # below either
+    k = 10**6
+    output = tmp_path / "solution.json"
+    proc = subprocess.run(
+        [sys.executable, "-c", _REPORT_PEAK, "solve", "--input", DEMO, "--k", str(k),
+         "--output", str(output)],
+        stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True, timeout=120,
+        env=_child_env(False))
+    code, peak_kib = map(int, proc.stdout.split())
+    assert code == 0
+    assert peak_kib < 64 * 1024
+    # each session past the fifth adds what the sixth adds to the text
+    _, five, _ = run_cli(capsys, "solve", "--input", DEMO, "--k", "5")
+    _, six, _ = run_cli(capsys, "solve", "--input", DEMO, "--k", "6")
+    step = len(six) - len(five)
+    size = len(five) + len(str(k)) - 1 + (k - 5) * step
+    assert output.stat().st_size == size
+    head = five[:-step].replace('"k": 5', f'"k": {k}', 1)
+    with open(output) as fh:
+        assert fh.read(len(head)) == head
+        fh.seek(size - step)
+        assert fh.read() == six[-step:]
+
+
 def test_solve_huge_k_is_one_error_line(capsys):
     # no tuple can be that long, so the solve fails before it allocates
     # the empty sessions
