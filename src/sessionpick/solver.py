@@ -20,7 +20,7 @@ which flows are optimal).
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from itertools import compress, islice, repeat
 from operator import itemgetter, mul, neg
 from typing import NamedTuple
@@ -183,24 +183,38 @@ def solve_min_cost_k_flow(net: FlowNetwork, weight_u: list[int]) -> list[int]:
 
     Round 1 is one forward pass in node order, which is topological, over
     forward edges only, so it reads each edge's head and cost off its arc
-    and weight_u. Its augmenting path is Dijkstra's: the path costs 0
-    (pi is tight), so its nodes have distance 0; Dijkstra pops those in
-    ascending index, and with a strict < both searches keep the first
-    predecessor in index order, then its first edge in id order. At k = 1
-    that path is the flow. Otherwise the residual lists, which only the
-    Dijkstra rounds read, are built before it is pushed. Later rounds run
-    Dijkstra on reduced costs against the potentials phi, the previous
-    round's true distances. Heap keys reduced_dist * nodes + v
-    order like (reduced_dist, v); a key that is not the last one pushed for
-    its node is stale, as every push strictly lowers dist[v]. The all-c-arc
-    chain keeps every node reachable in every round (c-arc flow is at most
-    the number of finished rounds, below the capacity net.k), so a node
-    left unreached, the sink included, is an InternalInvariantViolation.
+    and weight_u. An arc whose head is not above its tail, which
+    build_network never makes, would leave its distances inexact or its
+    parents in a cycle, so a relaxation along one raises ValueError. Round
+    1's augmenting path is Dijkstra's: the path costs 0 (pi is tight), so
+    its nodes have distance 0; Dijkstra pops those in ascending index, and
+    with a strict < both searches keep the first predecessor in index
+    order, then its first edge in id order. At k = 1 that path is the flow.
+    Otherwise the residual lists, which only the Dijkstra rounds read, are
+    built before it is pushed.
 
-    Once two rounds in a row take that chain, the rest would repeat it, so
-    their units go onto the c-arcs at once: the second chain round changes
-    no live list (every c-arc already carries flow) and no phi (the edges
-    the first made live reverse tight edges), so the next search repeats it.
+    Later rounds run Dijkstra on reduced costs against the potentials phi,
+    the previous round's true distances. The all-c-arc chain keeps every
+    node reachable in every round (c-arc flow is at most the number of
+    finished rounds, below the capacity net.k), so a node left unreached,
+    the sink included, is an InternalInvariantViolation. A round's reduced
+    distances take few distinct values, so the queue is a bucket per value
+    (Dial's): buckets maps a level to the nodes pushed at it, pending is a
+    heap of those levels, and level[v] is the reduced distance of v's
+    latest push. Every push strictly lowers dist[v], so an entry is stale
+    once its node is pushed lower, and entering a level drops its stale
+    entries at once. The rest are popped from a heap in ascending node id.
+    Reduced costs are non-negative and relaxations strict, so a push from
+    level d lands at d or above and no level-d node goes stale while d is
+    popped: a push at d joins the level's heap, a higher one its level's
+    list. The pops thus run in ascending (reduced distance, node), with the
+    same entries skipped, exactly as from one heap of such pairs.
+
+    Once two rounds in a row take the all-c-arc chain, the rest would
+    repeat it, so their units go onto the c-arcs at once: the second chain
+    round changes no live list (every c-arc already carries flow) and no
+    phi (the edges the first made live reverse tight edges), so the next
+    search repeats it.
     """
     nodes = net.node_count
     arcs = net.arcs
@@ -223,26 +237,37 @@ def solve_min_cost_k_flow(net: FlowNetwork, weight_u: list[int]) -> list[int]:
                     v = arcs[a][1]
                     t = base + weight_u[a]
                     if t < dist[v]:
+                        if v <= u:
+                            raise ValueError(f"arc {a} runs from node {u} to node {v}, "
+                                             "not forward")
                         dist[v] = t
                         parent[v] = e
         else:
-            last = [0] * nodes
-            heap = [0]
-            while heap:
-                key = heappop(heap)
-                u = key % nodes
-                if key != last[u]:
-                    continue
-                base = dist[u]
-                for e in live[u]:
-                    v = to[e]
-                    t = base + cost[e]
-                    if t < dist[v]:
-                        dist[v] = t
-                        parent[v] = e
-                        key = (t - phi[v]) * nodes + v
-                        last[v] = key
-                        heappush(heap, key)
+            level = [0] * nodes  # reduced distance of each node's latest push
+            buckets = {0: [0]}  # level -> nodes pushed at it
+            pending = [0]  # heap of the levels in buckets
+            while pending:
+                d = heappop(pending)
+                heap = [v for v in buckets.pop(d) if level[v] == d]
+                heapify(heap)
+                while heap:
+                    u = heappop(heap)
+                    base = dist[u]
+                    for e in live[u]:
+                        v = to[e]
+                        t = base + cost[e]
+                        if t < dist[v]:
+                            dist[v] = t
+                            parent[v] = e
+                            t -= phi[v]
+                            level[v] = t
+                            if t == d:
+                                heappush(heap, v)
+                            elif t in buckets:
+                                buckets[t].append(v)
+                            else:
+                                buckets[t] = [v]
+                                heappush(pending, t)
         if INF in dist:
             raise InternalInvariantViolation(
                 f"node {dist.index(INF)} unreachable during augmentation")
@@ -335,7 +360,13 @@ def extract_solution(flow: list[int], net: FlowNetwork,
 
 
 def solve_mwkc(inst: IntervalInstance, k: int) -> KcolourSolution:
-    """Full pipeline: cliques, network, pi, transform, k-flow, extraction."""
+    """Full pipeline: cliques, network, pi, transform, k-flow, extraction.
+
+    Every feasible k-flow meets total == k*pi[0] - cost_U, so that check is
+    bookkeeping. At k = 1 the flow is also proven optimal: every weight_U
+    is non-negative and pi[r] == 0, so no path weighs more than pi[0], and
+    a path that costs 0 weighs exactly that.
+    """
     net = build_network(enumerate_maximal_cliques(inst), inst, k)
     pi = compute_pi(net)
     weight_u = transform_weights(net, pi)
@@ -348,4 +379,6 @@ def solve_mwkc(inst: IntervalInstance, k: int) -> KcolourSolution:
         raise InternalInvariantViolation(
             f"selected weight {sol.total_weight} != k*pi[0] - cost "
             f"({k}*{pi0} - {cost_u})")
+    if k == 1 and cost_u:
+        raise InternalInvariantViolation(f"k = 1 flow costs {cost_u}, not 0: not optimal")
     return sol

@@ -148,7 +148,13 @@ _CANCELLED = make_instance([(0, 3, 5), (4, 7, 5), (4, 5, 4), (1, 5, 6), (6, 8, 6
 
 
 @settings(max_examples=300, deadline=None)
-@given(inst=tie_heavy, k=st.integers(min_value=1, max_value=12))
+@given(inst=st.one_of(
+           tie_heavy,
+           # weights far apart: many sparse levels per round
+           instances(max_n=40, max_coord=60, weights=st.integers(min_value=0, max_value=10**6)),
+           # all weights 0: every node on level 0
+           instances(max_n=40, max_coord=26, weights=st.just(0))),
+       k=st.integers(min_value=1, max_value=12))
 @example(inst=_CANCELLED, k=1)
 @example(inst=_CANCELLED, k=2)
 def test_flow_equals_reference_on_ties(inst, k):

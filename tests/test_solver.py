@@ -1,6 +1,10 @@
+import os
 import random
 import re
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -146,6 +150,16 @@ def test_solve_k1_flow_has_zero_cost(demo10):
     assert flow_cost([w for _, _, w in net.arcs], flow) == 20
 
 
+def test_solve_mwkc_rejects_a_k1_flow_that_costs_more_than_0(demo10, monkeypatch):
+    # the all-c-arc chain is feasible and meets the bookkeeping identity
+    # (0 == pi[0] - pi[0]), but it selects nothing where 20 is possible
+    monkeypatch.setattr("sessionpick.solver.solve_min_cost_k_flow",
+                        lambda net, weight_u: [1] * net.r + [0] * (len(net.arcs) - net.r))
+    with pytest.raises(InternalInvariantViolation,
+                       match=r"^k = 1 flow costs 20, not 0: not optimal$"):
+        solve_mwkc(demo10, 1)
+
+
 @pytest.mark.parametrize("triples,k,expected", [
     # identical intervals: vertex 0's i-arc is scanned first and wins
     ([(0, 10, 5), (0, 10, 5)], 1, [0, 1, 0]),
@@ -160,11 +174,20 @@ def test_solve_k1_flow_has_zero_cost(demo10):
     # returning edge must regain its place in id order, not join the end
     ([(2, 3, 1), (2, 3, 1), (0, 3, 2), (2, 4, 5), (0, 2, 5), (3, 4, 5)], 3,
      [1, 0, 1, 1, 0, 1, 1, 1, 1]),
+    # round 2: the source pushes node 1 at level 5, then node 2 and node 1
+    # at level 0, the level it is popped from; node 1 pops first, in id
+    # order, not push order, and leaves its entry at level 5 stale
+    ([(5, 6, 0), (4, 6, 0), (0, 5, 5), (0, 3, 5), (1, 6, 5)], 2, [0, 0, 0, 0, 1, 0, 1, 1]),
+    # round 2: the source opens level 3 (node 1), then level 1 (node 2)
+    # below it; node 2 pushes the sink at level 6, then lowers it to level
+    # 5, opened below the pending 6: levels pop by value, not opening order
+    ([(3, 6, 3), (0, 3, 3), (0, 5, 2), (4, 7, 5), (5, 6, 1)], 2, [0, 0, 0, 0, 1, 1, 1, 1]),
 ])
 def test_solve_k_flow_tie_cases(triples, k, expected):
     inst = make_instance(triples)
     net = _network(inst, k)
-    assert solve_min_cost_k_flow(net, transform_weights(net, compute_pi(net))) == expected
+    weight_u = transform_weights(net, compute_pi(net))
+    assert solve_min_cost_k_flow(net, weight_u) == reference_k_flow(net, weight_u) == expected
 
 
 @pytest.mark.parametrize("k", range(1, 9))
@@ -192,6 +215,30 @@ def test_solve_k_flow_with_tails_falling_by_arc_id(k, expected):
     weight_u = transform_weights(net, compute_pi(net))
     flow = solve_min_cost_k_flow(net, weight_u)
     assert flow == reference_k_flow(net, weight_u) == expected
+
+
+# Round 1 reads each arc as pointing forward. Two hand-built arcs that do
+# not: the first leaves round 1's parents in the cycle 1 -> 2 -> 1, so the
+# k = 1 walk back from the sink would never end; the second lowers node 1
+# after its scan, so round 2 would start from potentials that are not
+# distances. Each runs in a child process, so a hang fails the test.
+@pytest.mark.parametrize("r,k,arcs,weight_u,message", [
+    (2, 1, ((0, 1, 0), (1, 2, 0), (2, 1, 0)), [5, 0, -10],
+     "arc 2 runs from node 2 to node 1, not forward"),
+    (3, 2, ((0, 1, 0), (1, 2, 0), (2, 3, 0), (0, 2, 0), (2, 1, 0), (1, 3, 0)),
+     [10, 0, 5, 0, 0, 0], "arc 4 runs from node 2 to node 1, not forward"),
+])
+def test_solve_k_flow_rejects_an_arc_that_does_not_point_forward(r, k, arcs, weight_u, message):
+    code = ("from sessionpick import FlowNetwork, solve_min_cost_k_flow\n"
+            "try:\n"
+            f"    solve_min_cost_k_flow(FlowNetwork({r}, {k}, {arcs!r}), {weight_u!r})\n"
+            "except ValueError as exc:\n"
+            "    print(exc)\n")
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=30, env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == message + "\n"
 
 
 def test_solve_k_flow_unreachable_sink_is_invariant_violation():
