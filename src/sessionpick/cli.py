@@ -48,12 +48,6 @@ def _read_input(args: argparse.Namespace) -> tuple[ProgrammeSlot, ...]:
         raise _CliError(f"{path}: {exc}", EXIT_DATA) from None
 
 
-def _excluded(args: argparse.Namespace) -> frozenset[str]:
-    if not args.exclude:
-        return frozenset()
-    return frozenset(part.strip() for part in args.exclude.split(",") if part.strip())
-
-
 def _print_issues(report: list[ValidationIssue]) -> bool:
     """Print validation issues to stderr; True if any of them is an error."""
     for issue in report:
@@ -66,8 +60,9 @@ def _checked_instance(
     schedule = _read_input(args)
     if _print_issues(validate_schedule(schedule)):
         raise _CliError("schedule has validation errors", EXIT_DATA)
+    excluded = frozenset(filter(None, map(str.strip, (args.exclude or "").split(","))))
     try:
-        inst = to_intervals(schedule, _excluded(args))
+        inst = to_intervals(schedule, excluded)
     except ValueError as exc:
         raise _CliError(str(exc), EXIT_USAGE) from None
     try:  # every total, session weight, pi and weight_U printed is at most this

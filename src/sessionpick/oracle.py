@@ -13,9 +13,11 @@ from typing import NamedTuple
 
 from .schedule import IntervalInstance, Vertex
 
+COMPONENT_LIMIT = 20  # the most intervals one component may hold for the search
+
 
 class InstanceTooLarge(ValueError):
-    """The exhaustive search refuses components above the size limit."""
+    """The exhaustive search refuses components above COMPONENT_LIMIT."""
 
 
 class OracleResult(NamedTuple):
@@ -93,11 +95,11 @@ def _search_component(vertices: list[Vertex], k: int) -> tuple[int, list[int], i
     return best_weight, best, explored
 
 
-def brute_force_mwkc(inst: IntervalInstance, k: int, limit: int = 20) -> OracleResult:
+def brute_force_mwkc(inst: IntervalInstance, k: int) -> OracleResult:
     """Exact optimum by exhaustive search, component by component.
 
-    Optima add across components, so the limit guards each component rather
-    than the whole instance.
+    Optima add across components, so COMPONENT_LIMIT guards each component
+    rather than the whole instance.
     """
     if type(k) is not int:
         raise ValueError(f"k must be an integer, got {k!r}")
@@ -107,9 +109,9 @@ def brute_force_mwkc(inst: IntervalInstance, k: int, limit: int = 20) -> OracleR
     subset: set[int] = set()
     explored = 0
     for comp in connected_components(inst):
-        if len(comp) > limit:
-            raise InstanceTooLarge(
-                f"component with {len(comp)} intervals exceeds the search limit {limit}")
+        if len(comp) > COMPONENT_LIMIT:
+            raise InstanceTooLarge(f"component with {len(comp)} intervals exceeds "
+                                   f"the search limit {COMPONENT_LIMIT}")
         weight, ids, nodes = _search_component([inst.vertices[vid] for vid in comp], k)
         total += weight
         subset.update(ids)
@@ -122,8 +124,12 @@ def verify_solution(sol, inst: IntervalInstance, k: int) -> CheckReport:
 
     Verifies class count, vertex validity, disjointness, independence of
     every class, and the weight bookkeeping. Never raises; everything wrong
-    lands in the report.
+    lands in the report, which names a vertex by its slot id when the
+    instance has provenance.
     """
+    slot_of = inst.provenance
+    one, two = ("vertex", "vertices") if slot_of is None else ("slot", "slots")
+    label = str if slot_of is None else lambda vid: repr(slot_of[vid])
     violations: list[str] = []
     by_id = {v.vertex_id: v for v in inst.vertices}
     if len(sol.classes) > k:
@@ -138,7 +144,7 @@ def verify_solution(sol, inst: IntervalInstance, k: int) -> CheckReport:
                 violations.append(f"class {ci}: unknown vertex {vid}")
                 continue
             if vid in seen:
-                violations.append(f"vertex {vid} appears in classes {seen[vid]} and {ci}")
+                violations.append(f"{one} {label(vid)} appears in classes {seen[vid]} and {ci}")
             seen[vid] = ci
             weight += by_id[vid].w
             known.append(by_id[vid])
@@ -147,8 +153,8 @@ def verify_solution(sol, inst: IntervalInstance, k: int) -> CheckReport:
         known.sort(key=lambda v: (v.s, v.f))
         for a, b in zip(known, known[1:]):
             if overlaps(a, b):
-                violations.append(
-                    f"class {ci}: vertices {a.vertex_id} and {b.vertex_id} overlap")
+                violations.append(f"class {ci}: {two} {label(a.vertex_id)} and "
+                                  f"{label(b.vertex_id)} overlap")
         class_weights.append(weight)
     union = set(seen)
     if set(sol.Q) != union:

@@ -157,9 +157,9 @@ def _csv_columns(text: str) -> tuple[ProgrammeSlot, ...] | None:
     """The slots, checked and converted a whole column at a time, or None
     unless the text is unquoted, every row that is not blank has 5 fields
     and every field is good."""
-    # Unquoted, each line is a row split at commas. (Before Python 3.11 the
-    # reader refuses NUL.) A CRLF splits as two line ends; blank lines are skipped.
-    if '"' in text or "\0" in text:
+    # Unquoted, each line is a row split at commas. A CRLF splits as two
+    # line ends; blank lines are skipped.
+    if '"' in text:
         return None
     lines = text.replace("\r", "\n").split("\n")
     if max(map(len, lines)) > csv.field_size_limit():  # the reader would raise
@@ -193,8 +193,8 @@ def _csv_columns(text: str) -> tuple[ProgrammeSlot, ...] | None:
 
 
 def _walk_csv(text: str) -> tuple[ProgrammeSlot, ...]:
-    """CSV row by row: reads what _csv_columns leaves (quotes, NUL, blank
-    text, other field counts) and names a fault with its file line."""
+    """CSV row by row: reads what _csv_columns leaves (quotes, blank text,
+    other field counts) and names a fault with its file line."""
     reader = csv.reader(io.StringIO(text, newline=""))  # LF, CRLF or bare CR
     numbered: list[tuple[int, list[str]]] = []  # (file line the row starts on, row)
     start = 1  # a quoted field may span lines, so rows and lines differ

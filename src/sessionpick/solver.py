@@ -185,13 +185,15 @@ def solve_min_cost_k_flow(net: FlowNetwork, weight_u: list[int]) -> list[int]:
     forward edges only, so it reads each edge's head and cost off its arc
     and weight_u. An arc whose head is not above its tail, which
     build_network never makes, would leave its distances inexact or its
-    parents in a cycle, so a relaxation along one raises ValueError. Round
-    1's augmenting path is Dijkstra's: the path costs 0 (pi is tight), so
-    its nodes have distance 0; Dijkstra pops those in ascending index, and
-    with a strict < both searches keep the first predecessor in index
-    order, then its first edge in id order. At k = 1 that path is the flow.
-    Otherwise the residual lists, which only the Dijkstra rounds read, are
-    built before it is pushed.
+    parents in a cycle, so a relaxation along one raises ValueError. So
+    does a weight_u that is not one per arc, and an arc end past the sink,
+    for which the arcs are scanned only once round 1 indexes past a list.
+    Round 1's augmenting path is Dijkstra's: the path costs 0 (pi is
+    tight), so its nodes have distance 0; Dijkstra pops those in ascending
+    index, and with a strict < both searches keep the first predecessor in
+    index order, then its first edge in id order. At k = 1 that path is the
+    flow. Otherwise the residual lists, which only the Dijkstra rounds
+    read, are built before it is pushed.
 
     Later rounds run Dijkstra on reduced costs against the potentials phi,
     the previous round's true distances. The all-c-arc chain keeps every
@@ -199,11 +201,11 @@ def solve_min_cost_k_flow(net: FlowNetwork, weight_u: list[int]) -> list[int]:
     finished rounds, below the capacity net.k), so a node left unreached,
     the sink included, is an InternalInvariantViolation. A round's reduced
     distances take few distinct values, so the queue is a bucket per value
-    (Dial's): buckets maps a level to the nodes pushed at it, pending is a
-    heap of those levels, and level[v] is the reduced distance of v's
-    latest push. Every push strictly lowers dist[v], so an entry is stale
-    once its node is pushed lower, and entering a level drops its stale
-    entries at once. The rest are popped from a heap in ascending node id.
+    (Dial's): buckets maps a level to the nodes pushed at it, and pending
+    is a heap of those levels. A push of v at level t sets dist[v] - phi[v]
+    to t, and each push lowers dist[v], so an entry is stale once dist[v] -
+    phi[v] is below its level; entering a level drops its stale entries at
+    once. The rest are popped from a heap in ascending node id.
     Reduced costs are non-negative and relaxations strict, so a push from
     level d lands at d or above and no level-d node goes stale while d is
     popped: a push at d joins the level's heap, a higher one its level's
@@ -218,11 +220,11 @@ def solve_min_cost_k_flow(net: FlowNetwork, weight_u: list[int]) -> list[int]:
     """
     nodes = net.node_count
     arcs = net.arcs
+    if not net.r <= len(arcs) == len(weight_u):
+        raise ValueError(f"len(net.arcs) = {len(arcs)} and len(weight_u) = {len(weight_u)} "
+                         f"must be equal and at least r = {net.r}")
     chain = list(range(0, 2 * net.r, 2))  # forward c-edges; parent[1:] on the chain path
-    live = [[e] for e in chain] + [[]]  # c-arc u leaves node u, then i-arcs in id order
-    tails = map(itemgetter(0), islice(arcs, net.r, None))
-    for e, tail in zip(range(2 * net.r, 2 * len(arcs), 2), tails):
-        live[tail].append(e)
+    live = [[e] for e in chain] + [[]]  # c-arc u leaves node u; round 1 adds the i-arcs
     repeats = 0  # chain rounds in a row
 
     for rnd in range(net.k):
@@ -230,25 +232,34 @@ def solve_min_cost_k_flow(net: FlowNetwork, weight_u: list[int]) -> list[int]:
         dist[0] = 0
         parent = [-1] * nodes
         if not rnd:
-            for u, edges in enumerate(live):
-                base = dist[u]
-                for e in edges:
-                    a = e >> 1
-                    v = arcs[a][1]
-                    t = base + weight_u[a]
-                    if t < dist[v]:
-                        if v <= u:
-                            raise ValueError(f"arc {a} runs from node {u} to node {v}, "
-                                             "not forward")
-                        dist[v] = t
-                        parent[v] = e
+            try:
+                tails = map(itemgetter(0), islice(arcs, net.r, None))
+                for e, tail in zip(range(2 * net.r, 2 * len(arcs), 2), tails):
+                    live[tail].append(e)
+                for u, edges in enumerate(live):
+                    base = dist[u]
+                    for e in edges:
+                        a = e >> 1
+                        v = arcs[a][1]
+                        t = base + weight_u[a]
+                        if t < dist[v]:
+                            if v <= u:
+                                raise ValueError(f"arc {a} runs from node {u} to node {v}, "
+                                                 "not forward")
+                            dist[v] = t
+                            parent[v] = e
+            except IndexError:  # an arc end past the sink: name the first
+                for a, (tail, head, _) in enumerate(arcs):
+                    if not (0 <= tail <= net.r and 0 <= head <= net.r):
+                        raise ValueError(f"arc {a} runs from node {tail} to node {head}, "
+                                         f"outside nodes 0..{net.r}") from None
+                raise
         else:
-            level = [0] * nodes  # reduced distance of each node's latest push
             buckets = {0: [0]}  # level -> nodes pushed at it
             pending = [0]  # heap of the levels in buckets
             while pending:
                 d = heappop(pending)
-                heap = [v for v in buckets.pop(d) if level[v] == d]
+                heap = [v for v in buckets.pop(d) if dist[v] - phi[v] == d]
                 heapify(heap)
                 while heap:
                     u = heappop(heap)
@@ -260,7 +271,6 @@ def solve_min_cost_k_flow(net: FlowNetwork, weight_u: list[int]) -> list[int]:
                             dist[v] = t
                             parent[v] = e
                             t -= phi[v]
-                            level[v] = t
                             if t == d:
                                 heappush(heap, v)
                             elif t in buckets:

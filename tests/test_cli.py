@@ -264,6 +264,29 @@ def test_check_honours_explicit_k(tmp_path, capsys):
     assert code == 1  # three sessions cannot satisfy a budget of two
 
 
+def test_check_names_slots_not_vertex_ids(tmp_path, capsys):
+    # each session also takes the other's first slot, so both slots sit in
+    # both sessions, where they overlap each other
+    solution = tmp_path / "sol.json"
+    run_cli(capsys, "solve", "--input", DEMO, "--k", "2", "--output", str(solution))
+    data = json.loads(solution.read_text())
+    first, second = data["sessions"]
+    first_slot, second_slot = first["slots"][0], second["slots"][0]
+    first["slots"].append(second_slot)
+    second["slots"].append(first_slot)
+    solution.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, "check", "--input", DEMO, str(solution))
+    assert code == 1
+    assert (first_slot["slot_id"], second_slot["slot_id"]) == ("I1", "I2")
+    assert json.loads(out)["violations"][2:] == [
+        "class 1: slots 'I2' and 'I1' overlap",
+        "slot 'I2' appears in classes 1 and 2",
+        "slot 'I1' appears in classes 1 and 2",
+        "class 2: slots 'I2' and 'I1' overlap",
+    ]
+    assert "FAIL: slot 'I2' appears in classes 1 and 2\n" in err
+
+
 def test_oracle_command(capsys):
     code, out, _ = run_cli(capsys, "oracle", "--input", DEMO, "--k", "2")
     assert code == 0

@@ -45,10 +45,13 @@ def test_oracle_size_guard():
     assert brute_force_mwkc(spread, 1).best_weight == 25
 
 
-def test_oracle_respects_component_limit_override():
-    crowd = make_instance([(0, 10, 1)] * 21)
-    res = brute_force_mwkc(crowd, 2, limit=21)
-    assert res.best_weight == 2
+def test_oracle_component_limit_boundary():
+    # a run of slots that each overlap the next is one component
+    run = [(i, i + 3, i % 4 + 1) for i in range(21)]
+    searched = make_instance(run[:20])
+    assert brute_force_mwkc(searched, 2).best_weight == solve_mwkc(searched, 2).total_weight
+    with pytest.raises(InstanceTooLarge, match="21 intervals exceeds the search limit 20"):
+        brute_force_mwkc(make_instance(run), 2)
 
 
 def test_verify_accepts_solver_output(demo10):

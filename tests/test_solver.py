@@ -241,6 +241,24 @@ def test_solve_k_flow_rejects_an_arc_that_does_not_point_forward(r, k, arcs, wei
     assert proc.stdout == message + "\n"
 
 
+@pytest.mark.parametrize("r,k,arcs,weight_u,message", [
+    (1, 1, ((0, 1, 0), (0, 5, 0)), [0, 0], "arc 1 runs from node 0 to node 5, outside nodes 0..1"),
+    (1, 1, ((0, 1, 0), (7, 9, 0)), [0, 0], "arc 1 runs from node 7 to node 9, outside nodes 0..1"),
+    (1, 2, ((0, 1, 0),), [0, 0, 0],
+     "len(net.arcs) = 1 and len(weight_u) = 3 must be equal and at least r = 1"),
+    (1, 1, ((0, 1, 0),), [],
+     "len(net.arcs) = 1 and len(weight_u) = 0 must be equal and at least r = 1"),
+    (3, 2, ((0, 1, 0),), [0],
+     "len(net.arcs) = 1 and len(weight_u) = 1 must be equal and at least r = 3"),
+])
+def test_solve_k_flow_names_a_malformed_network(r, k, arcs, weight_u, message):
+    with pytest.raises(ValueError) as info:
+        solve_min_cost_k_flow(FlowNetwork(r, k, arcs), weight_u)
+    assert str(info.value) == message
+    # the IndexError that led to the arc scan stays out of the traceback
+    assert info.value.__context__ is None or info.value.__suppress_context__
+
+
 def test_solve_k_flow_unreachable_sink_is_invariant_violation():
     # the second c-arc points backwards, so no path reaches the sink (node 2);
     # the per-node reachability check reports it
