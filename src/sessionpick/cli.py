@@ -117,7 +117,7 @@ def _cmd_cliques(args: argparse.Namespace) -> int:
             {"index": i, "members": list(members), "leading_point": lp}
             for i, (members, lp) in enumerate(zip(cs.cliques, cs.leading_points), start=1)
         ],
-        "spans": {str(vid): list(span) for vid, span in enumerate(cs.spans)},
+        "spans": {str(vid): [p, q] for vid, (p, q) in enumerate(zip(cs.p, cs.q))},
     }
     _emit(payload, args)
     return EXIT_OK
@@ -133,7 +133,8 @@ def _cmd_network(args: argparse.Namespace) -> int:
              "kind": "c_arc" if a < net.r else "i_arc",
              "vertex": None if a < net.r else a - net.r,
              "weight_N": w, "weight_U": wu, "capacity": net.k if a < net.r else 1}
-            for a, ((tail, head, w), wu) in enumerate(zip(net.arcs, weight_u))]
+            for a, (tail, head, w, wu) in enumerate(zip(net.tail, net.head, net.weight,
+                                                        weight_u))]
     if args.dump == "dot":
         lines = ["digraph network {", "  rankdir=LR;"]
         lines += [f"  C{node};" for node in range(net.node_count)]
@@ -278,7 +279,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
                 extra.append(f"session {si}: unknown slot id {slot_id!r}")
                 continue
             members.append(vid_by_slot[slot_id])
-            actual += inst.vertices[vid_by_slot[slot_id]].w
+            actual += inst.w[vid_by_slot[slot_id]]
         if claimed is not None and claimed != actual:
             extra.append(f"session {si}: claimed weight {claimed}, slots sum to {actual}")
         classes.append(tuple(members))

@@ -44,15 +44,16 @@ def connected_components(inst: IntervalInstance) -> list[list[int]]:
     order a vertex opens a new one when it starts at or after the furthest
     finish seen so far (touching does not overlap).
     """
+    s, f = inst.s, inst.f
     comps: list[list[int]] = []
     reach = 0
-    for v in sorted(inst.vertices, key=lambda v: v.s):  # stable: ties keep id order
-        if comps and v.s < reach:
-            comps[-1].append(v.vertex_id)
-            reach = max(reach, v.f)
+    for vid in sorted(range(inst.n), key=s.__getitem__):  # stable: ties keep id order
+        if comps and s[vid] < reach:
+            comps[-1].append(vid)
+            reach = max(reach, f[vid])
         else:
-            comps.append([v.vertex_id])
-            reach = v.f
+            comps.append([vid])
+            reach = f[vid]
     return comps
 
 
@@ -112,7 +113,8 @@ def brute_force_mwkc(inst: IntervalInstance, k: int) -> OracleResult:
         if len(comp) > COMPONENT_LIMIT:
             raise InstanceTooLarge(f"component with {len(comp)} intervals exceeds "
                                    f"the search limit {COMPONENT_LIMIT}")
-        weight, ids, nodes = _search_component([inst.vertices[vid] for vid in comp], k)
+        weight, ids, nodes = _search_component(
+            [Vertex(vid, inst.s[vid], inst.f[vid], inst.w[vid]) for vid in comp], k)
         total += weight
         subset.update(ids)
         explored += nodes
@@ -131,7 +133,8 @@ def verify_solution(sol, inst: IntervalInstance, k: int) -> CheckReport:
     one, two = ("vertex", "vertices") if slot_of is None else ("slot", "slots")
     label = str if slot_of is None else lambda vid: repr(slot_of[vid])
     violations: list[str] = []
-    by_id = {v.vertex_id: v for v in inst.vertices}
+    s, f, w = inst.s, inst.f, inst.w
+    n = inst.n
     if len(sol.classes) > k:
         violations.append(f"{len(sol.classes)} classes but k={k}")
     seen: dict[int, int] = {}
@@ -140,26 +143,26 @@ def verify_solution(sol, inst: IntervalInstance, k: int) -> CheckReport:
         weight = 0
         known = []
         for vid in members:
-            if vid not in by_id:
+            if not (isinstance(vid, int) and 0 <= vid < n):
                 violations.append(f"class {ci}: unknown vertex {vid}")
                 continue
             if vid in seen:
                 violations.append(f"{one} {label(vid)} appears in classes {seen[vid]} and {ci}")
             seen[vid] = ci
-            weight += by_id[vid].w
-            known.append(by_id[vid])
+            weight += w[vid]
+            known.append(vid)
         # intervals sorted by start are pairwise disjoint iff each is
         # disjoint from its successor
-        known.sort(key=lambda v: (v.s, v.f))
+        known.sort(key=f.__getitem__)
+        known.sort(key=s.__getitem__)  # stable: by (s, f)
         for a, b in zip(known, known[1:]):
-            if overlaps(a, b):
-                violations.append(f"class {ci}: {two} {label(a.vertex_id)} and "
-                                  f"{label(b.vertex_id)} overlap")
+            if s[a] < f[b] and s[b] < f[a]:  # the overlap rule
+                violations.append(f"class {ci}: {two} {label(a)} and {label(b)} overlap")
         class_weights.append(weight)
     union = set(seen)
     if set(sol.Q) != union:
         violations.append("Q does not equal the union of the classes")
-    recomputed = sum(by_id[vid].w for vid in union)
+    recomputed = sum(map(w.__getitem__, union))
     if sol.total_weight != recomputed:
         violations.append(
             f"claimed total weight {sol.total_weight}, classes sum to {recomputed}")

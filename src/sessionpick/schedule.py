@@ -12,7 +12,7 @@ import csv
 import io
 import json
 from functools import cache
-from itertools import repeat
+from itertools import chain, repeat
 from operator import and_, eq, ge, gt, itemgetter
 from typing import NamedTuple
 
@@ -69,36 +69,63 @@ class Vertex(NamedTuple):
 
 
 class IntervalInstance:
-    """A set of weighted intervals with dense 0-based vertex ids.
+    """A set of weighted intervals with dense 0-based vertex ids, held as
+    three int columns: vertex v is the open interval (s[v], f[v]) of weight
+    w[v].
 
-    provenance maps vertex_id back to the slot_id it came from, when the
-    instance was built from a schedule.
+    The constructor takes Vertex records in any order. vertices gives them
+    back in id order, built anew on each read (nothing caches them), so a
+    loop reads the columns instead. provenance maps vertex_id back to the
+    slot_id it came from, when the instance was built from a schedule.
     """
 
-    __slots__ = ("vertices", "provenance")
+    __slots__ = ("s", "f", "w", "provenance")
 
     def __init__(self, vertices: tuple[Vertex, ...],
                  provenance: dict[int, str] | None = None) -> None:
-        ordered = tuple(sorted(vertices, key=itemgetter(0)))  # by vertex_id
-        if [v.vertex_id for v in ordered] != list(range(len(ordered))):
+        vertices = tuple(vertices)  # a tuple is not copied
+        dense = list(range(len(vertices)))
+        flat = list(chain.from_iterable(vertices))  # vertex_id, s, f, w of each in turn
+        if flat[0::4] != dense:  # not in id order, or ids not dense
+            flat = list(chain.from_iterable(sorted(vertices, key=itemgetter(0))))
+            if flat[0::4] != dense:
+                raise ValueError("vertex ids must be dense 0..n-1")
+        if len(flat) != 4 * len(dense):  # some record is not four fields long
             raise ValueError("vertex ids must be dense 0..n-1")
-        # a loop of attribute loads: itemgetter takes a slow path on a tuple
-        # subclass, so column checks with any(map(...)) cost more here
-        for v in ordered:
-            if v.s >= v.f:
-                raise ValueError(f"vertex {v.vertex_id} has s >= f")
-            if v.w < 0:
-                raise ValueError(f"vertex {v.vertex_id} has negative weight")
-        self.vertices = ordered
-        self.provenance = provenance
+        self._set_columns(flat[1::4], flat[2::4], flat[3::4], provenance)
+
+    @classmethod
+    def _of_columns(cls, s: list[int], f: list[int], w: list[int],
+                    provenance: dict[int, str] | None) -> IntervalInstance:
+        """The instance that owns these columns, checked as the constructor
+        checks its vertices."""
+        inst = cls.__new__(cls)
+        inst._set_columns(s, f, w, provenance)
+        return inst
+
+    def _set_columns(self, s: list[int], f: list[int], w: list[int],
+                     provenance: dict[int, str] | None) -> None:
+        if True in map(ge, s, f) or (w and min(w) < 0):
+            for vid, (sv, fv, wv) in enumerate(zip(s, f, w)):  # name the first bad vertex
+                if sv >= fv:
+                    raise ValueError(f"vertex {vid} has s >= f")
+                if wv < 0:
+                    raise ValueError(f"vertex {vid} has negative weight")
+        self.s, self.f, self.w, self.provenance = s, f, w, provenance
+
+    @property
+    def vertices(self) -> tuple[Vertex, ...]:
+        """The Vertex records in id order, built on each read."""
+        return tuple(map(tuple.__new__, repeat(Vertex),
+                         zip(range(len(self.s)), self.s, self.f, self.w)))
 
     @property
     def n(self) -> int:
-        return len(self.vertices)
+        return len(self.s)
 
     @property
     def total_weight(self) -> int:
-        return sum(v.w for v in self.vertices)
+        return sum(self.w)
 
 
 class ValidationIssue(NamedTuple):
@@ -331,7 +358,6 @@ def to_intervals(s: tuple[ProgrammeSlot, ...],
             raise ValueError(f"slot {slot.title!r} has start >= end; validate first")
     for key in (1, 3, 2):  # stable sorts, last key first: by (start, end, slot_id)
         kept.sort(key=itemgetter(key))  # with no key tuple per slot
-    vertices = tuple(map(tuple.__new__, repeat(Vertex), zip(
-        range(len(kept)), map(itemgetter(2), kept), map(itemgetter(3), kept),
-        map(itemgetter(4), kept))))
-    return IntervalInstance(vertices, dict(enumerate(map(itemgetter(1), kept))))
+    return IntervalInstance._of_columns(
+        list(map(itemgetter(2), kept)), list(map(itemgetter(3), kept)),
+        list(map(itemgetter(4), kept)), dict(enumerate(map(itemgetter(1), kept))))

@@ -22,7 +22,7 @@ from __future__ import annotations
 from bisect import bisect_left, insort
 from heapq import heapify, heappop, heappush
 from itertools import compress, islice, repeat
-from operator import itemgetter, mul, neg
+from operator import add, mul, neg
 from typing import NamedTuple
 
 from .schedule import IntervalInstance
@@ -43,22 +43,29 @@ class CliqueSequence(NamedTuple):
     """Maximal cliques C_1..C_r ordered by leading point.
 
     leading_points[i] is the largest member start of C_{i+1}, the leftmost
-    coordinate where all its members coexist. spans[v] is vertex v's 1-based
-    (p, q) run of clique indices; the runs alone fix every clique.
+    coordinate where all its members coexist. Vertex v belongs to exactly
+    the cliques C_p[v]..C_q[v], a 1-based run; the runs alone fix every
+    clique. spans and cliques are views built on each read.
     """
 
     leading_points: tuple[int, ...]
-    spans: tuple[tuple[int, int], ...]  # indexed by vertex id
+    p: list[int]  # indexed by vertex id
+    q: list[int]
 
     @property
     def r(self) -> int:
         return len(self.leading_points)
 
     @property
+    def spans(self) -> tuple[tuple[int, int], ...]:
+        """Each vertex's (p, q) run, in vertex-id order."""
+        return tuple(zip(self.p, self.q))
+
+    @property
     def cliques(self) -> tuple[tuple[int, ...], ...]:
-        """Sorted member ids of each clique, rebuilt from the spans."""
+        """Sorted member ids of each clique, rebuilt from the runs."""
         members: list[list[int]] = [[] for _ in self.leading_points]
-        for vid, (p, q) in enumerate(self.spans):
+        for vid, (p, q) in enumerate(zip(self.p, self.q)):
             for i in range(p - 1, q):
                 members[i].append(vid)
         return tuple(tuple(m) for m in members)
@@ -80,10 +87,8 @@ def enumerate_maximal_cliques(inst: IntervalInstance) -> CliqueSequence:
     trigger adds no trigger of its own. Equal coordinates share their p and
     their q, so one dict per endpoint kind maps them back to vertex order.
     """
-    s_col = [v.s for v in inst.vertices]
-    f_col = [v.f for v in inst.vertices]
-    starts = sorted(s_col)
-    finishes = sorted(f_col)
+    starts = sorted(inst.s)
+    finishes = sorted(inst.f)
     leading: list[int] = []
     p_of: list[int] = []  # p of each swept start, in start order
     q_of: list[int] = []  # q of each finish, in finish order
@@ -97,24 +102,32 @@ def enumerate_maximal_cliques(inst: IntervalInstance) -> CliqueSequence:
         q_of.append(len(leading))
     p_at = dict(zip(starts, p_of))
     q_at = dict(zip(finishes, q_of))
-    spans = tuple(zip(map(p_at.__getitem__, s_col), map(q_at.__getitem__, f_col)))
-    return CliqueSequence(tuple(leading), spans)
+    return CliqueSequence(tuple(leading), list(map(p_at.__getitem__, inst.s)),
+                          list(map(q_at.__getitem__, inst.f)))
 
 
 class FlowNetwork(NamedTuple):
     """Nodes 0..r over the clique order; 0 is the source, r the sink.
 
-    arcs[a] is (tail, head, weight_N). Arcs 0..r-1 are the c-arcs i -> i+1
-    (capacity k, weight 0); arc r + v is vertex v's i-arc (capacity 1).
+    Arc a runs from tail[a] to head[a] with weight_N weight[a]. Arcs
+    0..r-1 are the c-arcs i -> i+1 (capacity k, weight 0); arc r + v is
+    vertex v's i-arc (capacity 1). arcs is a view built on each read.
     """
 
     r: int
     k: int
-    arcs: tuple[tuple[int, int, int], ...]
+    tail: list[int]
+    head: list[int]
+    weight: list[int]
 
     @property
     def node_count(self) -> int:
         return self.r + 1
+
+    @property
+    def arcs(self) -> tuple[tuple[int, int, int], ...]:
+        """Each arc's (tail, head, weight_N), in arc-id order."""
+        return tuple(zip(self.tail, self.head, self.weight))
 
 
 class KcolourSolution(NamedTuple):
@@ -134,9 +147,11 @@ def build_network(cs: CliqueSequence, inst: IntervalInstance, k: int) -> FlowNet
     r = cs.r
     if r == 0:
         raise EmptyInstance("no intervals, nothing to schedule")
-    arcs = [(i, i + 1, 0) for i in range(r)]
-    arcs += [(p - 1, q, v.w) for (p, q), v in zip(cs.spans, inst.vertices)]
-    return FlowNetwork(r, k, tuple(arcs))
+    tail = list(range(r))
+    tail += map(add, cs.p, repeat(-1))
+    head = list(range(1, r + 1))
+    head += cs.q
+    return FlowNetwork(r, k, tail, head, [0] * r + inst.w)
 
 
 def compute_pi(net: FlowNetwork) -> list[int]:
@@ -147,10 +162,12 @@ def compute_pi(net: FlowNetwork) -> list[int]:
     above the answer: each node i < r has the weight-0 c-arc to i + 1.
     Arcs of one tail may come in any order, as pi[tail] is their max.
     """
+    tail, head, weight = net.tail, net.head, net.weight
     pi = [0] * net.node_count
-    for tail, head, w in sorted(net.arcs, key=itemgetter(0), reverse=True):
-        if w + pi[head] > pi[tail]:
-            pi[tail] = w + pi[head]
+    for a in sorted(range(len(tail)), key=tail.__getitem__, reverse=True):
+        w = weight[a] + pi[head[a]]
+        if w > pi[tail[a]]:
+            pi[tail[a]] = w
     return pi
 
 
@@ -162,7 +179,7 @@ def transform_weights(net: FlowNetwork, pi: list[int]) -> list[int]:
     transformed cost of a k-flow therefore maximizes the selected weight.
     Every weight_U is non-negative by definition of pi and at most pi[0].
     """
-    weight_u = [pi[tail] - pi[head] - w for tail, head, w in net.arcs]
+    weight_u = [pi[tail] - pi[head] - w for tail, head, w in zip(net.tail, net.head, net.weight)]
     if min(weight_u) < 0 or max(weight_u) > pi[0]:
         for a, wu in enumerate(weight_u):  # name the first offender
             if wu < 0 or wu > pi[0]:
@@ -182,12 +199,13 @@ def solve_min_cost_k_flow(net: FlowNetwork, weight_u: list[int]) -> list[int]:
     in ascending id, the order in which a search scans them.
 
     Round 1 is one forward pass in node order, which is topological, over
-    forward edges only, so it reads each edge's head and cost off its arc
-    and weight_u. An arc whose head is not above its tail, which
+    forward edges only, so it reads each edge's head and cost off the head
+    column and weight_u. An arc whose head is not above its tail, which
     build_network never makes, would leave its distances inexact or its
     parents in a cycle, so a relaxation along one raises ValueError. So
-    does a weight_u that is not one per arc, and an arc end past the sink,
-    for which the arcs are scanned only once round 1 indexes past a list.
+    does a weight_u or a head column that is not one per arc, and an arc
+    end past the sink, for which the arcs are scanned only once round 1
+    indexes past a list.
     Round 1's augmenting path is Dijkstra's: the path costs 0 (pi is
     tight), so its nodes have distance 0; Dijkstra pops those in ascending
     index, and with a strict < both searches keep the first predecessor in
@@ -219,10 +237,13 @@ def solve_min_cost_k_flow(net: FlowNetwork, weight_u: list[int]) -> list[int]:
     search repeats it.
     """
     nodes = net.node_count
-    arcs = net.arcs
-    if not net.r <= len(arcs) == len(weight_u):
-        raise ValueError(f"len(net.arcs) = {len(arcs)} and len(weight_u) = {len(weight_u)} "
+    tail, head = net.tail, net.head
+    m = len(tail)
+    if not net.r <= m == len(weight_u):
+        raise ValueError(f"len(net.arcs) = {m} and len(weight_u) = {len(weight_u)} "
                          f"must be equal and at least r = {net.r}")
+    if len(head) != m:
+        raise ValueError(f"len(net.head) = {len(head)}, not len(net.tail) = {m}")
     chain = list(range(0, 2 * net.r, 2))  # forward c-edges; parent[1:] on the chain path
     live = [[e] for e in chain] + [[]]  # c-arc u leaves node u; round 1 adds the i-arcs
     repeats = 0  # chain rounds in a row
@@ -233,14 +254,13 @@ def solve_min_cost_k_flow(net: FlowNetwork, weight_u: list[int]) -> list[int]:
         parent = [-1] * nodes
         if not rnd:
             try:
-                tails = map(itemgetter(0), islice(arcs, net.r, None))
-                for e, tail in zip(range(2 * net.r, 2 * len(arcs), 2), tails):
-                    live[tail].append(e)
+                for e, u in zip(range(2 * net.r, 2 * m, 2), islice(tail, net.r, None)):
+                    live[u].append(e)
                 for u, edges in enumerate(live):
                     base = dist[u]
                     for e in edges:
                         a = e >> 1
-                        v = arcs[a][1]
+                        v = head[a]
                         t = base + weight_u[a]
                         if t < dist[v]:
                             if v <= u:
@@ -249,9 +269,9 @@ def solve_min_cost_k_flow(net: FlowNetwork, weight_u: list[int]) -> list[int]:
                             dist[v] = t
                             parent[v] = e
             except IndexError:  # an arc end past the sink: name the first
-                for a, (tail, head, _) in enumerate(arcs):
-                    if not (0 <= tail <= net.r and 0 <= head <= net.r):
-                        raise ValueError(f"arc {a} runs from node {tail} to node {head}, "
+                for a, (u, v) in enumerate(zip(tail, head)):
+                    if not (0 <= u <= net.r and 0 <= v <= net.r):
+                        raise ValueError(f"arc {a} runs from node {u} to node {v}, "
                                          f"outside nodes 0..{net.r}") from None
                 raise
         else:
@@ -283,20 +303,20 @@ def solve_min_cost_k_flow(net: FlowNetwork, weight_u: list[int]) -> list[int]:
                 f"node {dist.index(INF)} unreachable during augmentation")
         if not rnd:  # only the Dijkstra rounds read the residual graph
             if net.k == 1:  # so none is built, and the flow is round 1's path
-                flow = [0] * len(arcs)
+                flow = [0] * m
                 u = net.r
                 while u:
                     a = parent[u] >> 1
                     flow[a] = 1
-                    u = arcs[a][0]
+                    u = tail[a]
                 return flow
-            to = [0] * (2 * len(arcs))
-            to[0::2] = map(itemgetter(1), arcs)
-            to[1::2] = map(itemgetter(0), arcs)
+            to = [0] * (2 * m)
+            to[0::2] = head
+            to[1::2] = tail
             cost = [0] * len(to)
             cost[0::2] = weight_u
             cost[1::2] = map(neg, weight_u)
-            residual = [net.k, 0] * net.r + [1, 0] * (len(arcs) - net.r)
+            residual = [net.k, 0] * net.r + [1, 0] * (m - net.r)
         phi = dist
         u = net.r
         while u:
@@ -335,8 +355,8 @@ def extract_solution(flow: list[int], net: FlowNetwork,
     # carried[u]: the i-arcs out of u, in id order, once per unit of flow
     carried: list[list[int]] = [[] for _ in range(r)]
     for a in compress(range(r, len(flow)), islice(flow, r, None)):
-        carried[net.arcs[a][0]] += [a] * flow[a]
-    vertices = inst.vertices
+        carried[net.tail[a]] += [a] * flow[a]
+    s, f, w = inst.s, inst.f, inst.w
     keyed: list[tuple[int, int, tuple[int, ...]]] = []  # (-weight, first start, class)
     seen: set[int] = set()
     for _ in range(net.k - empty):
@@ -349,8 +369,8 @@ def extract_solution(flow: list[int], net: FlowNetwork,
             elif carried[u]:
                 a = carried[u].pop(0)
                 members.append(a - r)
-                weight += vertices[a - r].w
-                u = net.arcs[a][1]
+                weight += w[a - r]
+                u = net.head[a]
             else:
                 raise InternalInvariantViolation(f"flow conservation broken at node {u}")
         for vid in members:
@@ -358,10 +378,10 @@ def extract_solution(flow: list[int], net: FlowNetwork,
                 raise InternalInvariantViolation(f"vertex {vid} selected twice")
             seen.add(vid)
         for a, b in zip(members, members[1:]):
-            if vertices[b].s < vertices[a].f:
+            if s[b] < f[a]:
                 raise InternalInvariantViolation(
                     f"vertices {a} and {b} overlap inside one class")
-        keyed.append((-weight, vertices[members[0]].s, tuple(members)))
+        keyed.append((-weight, s[members[0]], tuple(members)))
     if any(idle) or any(carried) or min(flow) < 0:
         raise InternalInvariantViolation("flow not fully decomposed by k paths")
     keyed.sort()

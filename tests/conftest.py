@@ -275,21 +275,32 @@ def reference_clique_sequence(inst: IntervalInstance) -> CliqueSequence:
     coordinates are swept: a finish at t sees the starts below t, since
     touching intervals do not overlap.
     """
-    starts = sorted(v.s for v in inst.vertices)
+    starts = sorted(inst.s)
     leading: list[int] = []
     triggers: list[int] = []
     seen = 0  # starts already behind the sweep
-    for f in sorted(v.f for v in inst.vertices):
+    for f in sorted(inst.f):
         below = bisect.bisect_left(starts, f, seen)
         if below > seen:
             leading.append(starts[below - 1])
             triggers.append(f)
             seen = below
-    spans = tuple(
-        (bisect.bisect_right(triggers, v.s) + 1,  # first trigger > s
-         bisect.bisect_right(triggers, v.f))  # last trigger <= f
-        for v in inst.vertices)
-    return CliqueSequence(tuple(leading), spans)
+    return CliqueSequence(
+        tuple(leading),
+        [bisect.bisect_right(triggers, s) + 1 for s in inst.s],  # first trigger > s
+        [bisect.bisect_right(triggers, f) for f in inst.f])  # last trigger <= f
+
+
+# The network as a tuple of arc triples, built from the span pairs and the
+# Vertex records, as it stood before the network became three int columns:
+# build_network's arcs view must equal these triples.
+def reference_build_network(cs: CliqueSequence, inst: IntervalInstance,
+                            k: int) -> tuple[tuple[int, int, int], ...]:
+    """c-arcs first, then one i-arc per vertex in vertex-id order, so arc
+    ids are reproducible."""
+    arcs = [(i, i + 1, 0) for i in range(cs.r)]
+    arcs += [(p - 1, q, v.w) for (p, q), v in zip(cs.spans, inst.vertices)]
+    return tuple(arcs)
 
 
 def max_depth(inst: IntervalInstance, selected=None) -> int:
@@ -415,6 +426,7 @@ def reference_extract_solution(flow: list[int], net: FlowNetwork,
     # cursor[u] skips u's used-up arcs for good, as remaining only falls
     cursor = [0] * net.node_count
     vertices = inst.vertices
+    heads = net.head
     classes: list[tuple[int, ...]] = []
     seen: set[int] = set()
     for _ in range(net.k):
@@ -432,7 +444,7 @@ def reference_extract_solution(flow: list[int], net: FlowNetwork,
             remaining[arc] -= 1
             if arc >= r:
                 members.append(arc - r)
-            u = net.arcs[arc][1]
+            u = heads[arc]
         for vid in members:
             if vid in seen:
                 raise InternalInvariantViolation(f"vertex {vid} selected twice")
@@ -513,8 +525,7 @@ def solve_checked(inst: IntervalInstance, k: int):
     sol = solve_mwkc(inst, k)
     net = build_network(enumerate_maximal_cliques(inst), inst, k)
     weight_u = transform_weights(net, compute_pi(net))
-    assert flow_cost([w for _, _, w in net.arcs], check_flow_rounds(net, weight_u)) \
-        == sol.total_weight
+    assert flow_cost(net.weight, check_flow_rounds(net, weight_u)) == sol.total_weight
     return sol
 
 
@@ -524,8 +535,6 @@ def per_component_total(inst: IntervalInstance, k: int) -> int:
     global total."""
     total = 0
     for comp in connected_components(inst):
-        sub = IntervalInstance(tuple(
-            Vertex(i, inst.vertices[vid].s, inst.vertices[vid].f, inst.vertices[vid].w)
-            for i, vid in enumerate(comp)))
+        sub = make_instance([(inst.s[vid], inst.f[vid], inst.w[vid]) for vid in comp])
         total += solve_checked(sub, k).total_weight
     return total

@@ -92,7 +92,7 @@ def _as_solution(inst, session_a, session_b):
     classes = tuple(tuple(vid_by_slot[s] for s in session)
                     for session in (session_a, session_b))
     flat = [v for cls in classes for v in cls]
-    total = sum(inst.vertices[v].w for v in flat)
+    total = sum(inst.w[v] for v in flat)
     return KcolourSolution(k=2, Q=frozenset(flat), classes=classes, total_weight=total)
 
 
@@ -174,9 +174,9 @@ def test_acceptance_5_structural_invariants(capsys):
             inst = make_instance(triples)
             cs = enumerate_maximal_cliques(inst)
             assert cs.r <= inst.n
-            for v in inst.vertices:
-                member_of = [i + 1 for i, c in enumerate(cs.cliques) if v.vertex_id in c]
-                p, q = cs.spans[v.vertex_id]
+            cliques = cs.cliques
+            for vid, (p, q) in enumerate(cs.spans):
+                member_of = [i + 1 for i, c in enumerate(cliques) if vid in c]
                 assert member_of == list(range(p, q + 1))
             omega = max_depth(inst)
             totals = []
@@ -186,7 +186,7 @@ def test_acceptance_5_structural_invariants(capsys):
                 weight_u = transform_weights(net, pi)
                 assert all(0 <= wu <= pi[0] for wu in weight_u)
                 flow = solve_min_cost_k_flow(net, weight_u)
-                weight_n = flow_cost([w for _, _, w in net.arcs], flow)
+                weight_n = flow_cost(net.weight, flow)
                 assert weight_n + flow_cost(weight_u, flow) == k * pi[0]
                 sol = solve_mwkc(inst, k)
                 assert sol.total_weight == weight_n

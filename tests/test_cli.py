@@ -126,11 +126,15 @@ def test_solve_far_past_omega(capsys):
     assert busy == [session for session in json.loads(five)["sessions"] if session["slots"]]
 
 
-# runs main in a child and prints its exit code and peak RSS in KiB
-_REPORT_PEAK = ("import resource, sys\n"
+# runs main in a child and prints its exit code and peak RSS in KiB. The
+# peak is the child's own VmHWM: ru_maxrss would start from the peak of the
+# process that started the child, so it would read the test run's memory
+_REPORT_PEAK = ("import re, sys\n"
                 "from sessionpick.cli import main\n"
                 "code = main(sys.argv[1:])\n"
-                "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
+                "with open('/proc/self/status') as fh:\n"
+                "    peak = re.search(r'^VmHWM:\\s*(\\d+) kB$', fh.read(), re.M)[1]\n"
+                "print(code, peak)\n")
 
 
 def test_solve_far_past_omega_is_written_in_pieces(capsys, tmp_path):

@@ -60,7 +60,7 @@ def test_single_interval():
 def test_empty_instance():
     inst = make_instance([])
     cs = enumerate_maximal_cliques(inst)
-    assert cs == reference_clique_sequence(inst) == CliqueSequence((), ())
+    assert cs == reference_clique_sequence(inst) == CliqueSequence((), [], [])
     assert cs.r == 0
     assert cs.cliques == ()
     assert (inst.n, max_depth(inst), connected_components(inst)) == (0, 0, [])
@@ -73,7 +73,7 @@ def test_sweep_spans_at_tied_endpoints():
     inst = make_instance([(0, 5, 1), (3, 5, 1), (5, 8, 1), (5, 8, 1), (1, 3, 1), (3, 8, 1)])
     cs = enumerate_maximal_cliques(inst)
     assert cs == reference_clique_sequence(inst)
-    assert cs.leading_points == (1, 3, 5)
+    assert cs == CliqueSequence((1, 3, 5), [1, 2, 3, 3, 1, 2], [2, 2, 3, 3, 1, 3])
     assert cs.spans == ((1, 2), (2, 2), (3, 3), (3, 3), (1, 1), (2, 3))
     assert cs.cliques == ((0, 4), (0, 1, 5), (2, 3, 5))
 
@@ -102,7 +102,7 @@ def test_demo10_components(demo10):
     comps = connected_components(demo10)
     assert [sorted(c) for c in comps] == [list(range(10))]
     # within a component, vertices come out in order of their start points
-    assert comps[0] == sorted(comps[0], key=lambda vid: demo10.vertices[vid].s)
+    assert comps[0] == sorted(comps[0], key=demo10.s.__getitem__)
 
 
 def test_three_channels_shape(three_channels_csv):
@@ -119,10 +119,10 @@ def test_cliques_match_subset_enumeration():
     for _ in range(200):
         inst = random_instance(rng, n_max=10, coord_max=20)
         cs = enumerate_maximal_cliques(inst)
-        assert list(cs.cliques) == reference_maximal_cliques(inst)
+        cliques = cs.cliques
+        assert list(cliques) == reference_maximal_cliques(inst)
         # spans describe exactly the cliques each vertex belongs to
-        for v in inst.vertices:
-            member_of = [i + 1 for i, c in enumerate(cs.cliques) if v.vertex_id in c]
-            p, q = cs.spans[v.vertex_id]
+        for vid, (p, q) in enumerate(cs.spans):
+            member_of = [i + 1 for i, c in enumerate(cliques) if vid in c]
             assert member_of == list(range(p, q + 1))
-        assert max(map(len, cs.cliques)) == max_depth(inst)
+        assert max(map(len, cliques)) == max_depth(inst)

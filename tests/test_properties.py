@@ -20,7 +20,7 @@ from sessionpick import (
 )
 
 from conftest import (check_flow_rounds, flow_cost, make_instance, max_depth,
-                      per_component_total, reference_clique_sequence,
+                      per_component_total, reference_build_network, reference_clique_sequence,
                       reference_extract_solution, reference_k_flow, solve_checked)
 
 
@@ -49,12 +49,13 @@ ks = st.integers(min_value=1, max_value=4)
 @given(inst=instances())
 def test_adjacency_equals_span_intersection(inst):
     cs = enumerate_maximal_cliques(inst)
-    for u in inst.vertices:
-        for v in inst.vertices:
+    vertices = inst.vertices
+    for u in vertices:
+        for v in vertices:
             if u.vertex_id >= v.vertex_id:
                 continue
-            pu, qu = cs.spans[u.vertex_id]
-            pv, qv = cs.spans[v.vertex_id]
+            pu, qu = cs.p[u.vertex_id], cs.q[u.vertex_id]
+            pv, qv = cs.p[v.vertex_id], cs.q[v.vertex_id]
             spans_meet = pu <= qv and pv <= qu
             assert overlaps(u, v) == overlaps(v, u) == spans_meet
 
@@ -68,6 +69,20 @@ def test_sweep_equals_reference(inst, shift):
     assert enumerate_maximal_cliques(inst) == reference_clique_sequence(inst)
 
 
+@settings(max_examples=200, deadline=None)
+@given(inst=st.one_of(instances(), tie_heavy), k=ks, data=st.data())
+def test_views_equal_the_tuples_they_replace(inst, k, data):
+    # the instance, the sweep and the network keep int columns; their views
+    # give back exactly the records, span pairs and arc triples they held
+    given = data.draw(st.permutations(inst.vertices))
+    rebuilt = IntervalInstance(tuple(given))
+    assert rebuilt.vertices == tuple(sorted(given)) == inst.vertices  # by vertex id
+    assert (rebuilt.s, rebuilt.f, rebuilt.w) == (inst.s, inst.f, inst.w)
+    cs = enumerate_maximal_cliques(inst)
+    assert cs.spans == reference_clique_sequence(inst).spans
+    assert build_network(cs, inst, k).arcs == reference_build_network(cs, inst, k)
+
+
 @settings(max_examples=150, deadline=None)
 @given(inst=instances())
 def test_clique_sequence_shape(inst):
@@ -79,9 +94,8 @@ def test_clique_sequence_shape(inst):
         for j, b in enumerate(sets):
             assert i == j or not a <= b
     # every vertex appears in a contiguous run matching its span
-    for v in inst.vertices:
-        member_of = [i + 1 for i, c in enumerate(cs.cliques) if v.vertex_id in c]
-        p, q = cs.spans[v.vertex_id]
+    for vid, (p, q) in enumerate(cs.spans):
+        member_of = [i + 1 for i, c in enumerate(sets) if vid in c]
         assert member_of == list(range(p, q + 1))
     assert list(cs.leading_points) == sorted(set(cs.leading_points))
 
@@ -100,23 +114,24 @@ def test_components_split_cleanly(inst):
     seen = [vid for comp in comps for vid in comp]
     assert sorted(seen) == list(range(inst.n))
     where = {vid: i for i, comp in enumerate(comps) for vid in comp}
-    for u in inst.vertices:
-        for v in inst.vertices:
+    vertices = inst.vertices
+    for u in vertices:
+        for v in vertices:
             if u.vertex_id < v.vertex_id and overlaps(u, v):
                 assert where[u.vertex_id] == where[v.vertex_id]
     # components in time order, each in (start, vertex_id) order
     for comp in comps:
-        assert comp == sorted(comp, key=lambda vid: (inst.vertices[vid].s, vid))
+        assert comp == sorted(comp, key=lambda vid: (inst.s[vid], vid))
     for left, right in zip(comps, comps[1:]):
-        assert max(inst.vertices[v].f for v in left) <= inst.vertices[right[0]].s
+        assert max(inst.f[v] for v in left) <= inst.s[right[0]]
     # within a component every vertex is reachable through overlaps
     for comp in comps:
         reached = {comp[0]}
         frontier = [comp[0]]
         while frontier:
-            cur = inst.vertices[frontier.pop()]
+            cur = vertices[frontier.pop()]
             for vid in comp:
-                if vid not in reached and overlaps(cur, inst.vertices[vid]):
+                if vid not in reached and overlaps(cur, vertices[vid]):
                     reached.add(vid)
                     frontier.append(vid)
         assert reached == set(comp)
@@ -131,7 +146,7 @@ def test_flow_costs_telescope(inst, k):
     weight_u = transform_weights(net, pi)
     assert all(0 <= wu <= pi[0] for wu in weight_u)
     flow = check_flow_rounds(net, weight_u)
-    weight_n = flow_cost([w for _, _, w in net.arcs], flow)
+    weight_n = flow_cost(net.weight, flow)
     assert weight_n + flow_cost(weight_u, flow) == k * pi[0]
     balance = [0] * net.node_count
     for a, ((tail, head, _), f) in enumerate(zip(net.arcs, flow)):
@@ -174,7 +189,7 @@ def test_extraction_equals_reference_on_ties(inst, k):
     assert sol == reference_extract_solution(flow, net, inst)
     # walk order is start order, which is why no class needs a sort
     for cls in sol.classes:
-        starts = [inst.vertices[v].s for v in cls]
+        starts = [inst.s[v] for v in cls]
         assert all(a < b for a, b in zip(starts, starts[1:]))
 
 
@@ -228,8 +243,9 @@ def test_pi_is_tight(inst):
     # pi[i] is the best out-arc of node i, not merely an upper bound on each
     net = build_network(enumerate_maximal_cliques(inst), inst, 1)
     pi = compute_pi(net)
+    arcs = net.arcs
     for i in range(net.r):
-        assert pi[i] == max(w + pi[head] for tail, head, w in net.arcs if tail == i)
+        assert pi[i] == max(w + pi[head] for tail, head, w in arcs if tail == i)
     assert pi[net.r] == 0
 
 
@@ -278,4 +294,4 @@ def test_weights_grow_with_k_until_omega(inst):
 def test_selection_never_exceeds_depth_k(inst, k):
     sol = solve_mwkc(inst, k)
     assert max_depth(inst, sol.Q) <= k
-    assert sol.total_weight == sum(inst.vertices[v].w for v in sol.Q)
+    assert sol.total_weight == sum(inst.w[v] for v in sol.Q)

@@ -12,6 +12,7 @@ from sessionpick import (
     Vertex,
     parse_schedule,
     serialize_schedule,
+    solve_mwkc,
     to_intervals,
     validate_schedule,
 )
@@ -514,6 +515,15 @@ def test_interval_instance_names_first_bad_vertex(bad, message):
     assert str(exc.value) == message
 
 
+def test_interval_instance_takes_any_iterable_of_records():
+    records = [Vertex(1, 4, 5, 1), Vertex(0, 0, 1, 2)]
+    for given in (records, iter(records), tuple(records)):
+        inst = IntervalInstance(given)
+        assert (inst.s, inst.f, inst.w) == ([0, 4], [1, 5], [2, 1])
+    with pytest.raises(ValueError, match="^vertex ids must be dense 0..n-1$"):
+        IntervalInstance(((0, 1, 2),))  # three fields, not four
+
+
 def test_interval_instance_checks_ids_and_shape():
     with pytest.raises(ValueError):
         IntervalInstance((Vertex(1, 0, 1, 1),))  # ids must start at 0
@@ -558,3 +568,15 @@ def test_serialize_parse_roundtrip(sched, fmt):
     parsed = parse_schedule(serialize_schedule(sched, fmt), fmt)
     assert parsed == sched
     assert all(slot.slot_id == slot.title for slot in parsed)
+
+
+@settings(max_examples=100, deadline=None)
+@given(sched=schedules(), k=st.integers(min_value=1, max_value=4))
+def test_to_intervals_solves_like_its_vertex_records(sched, k):
+    # to_intervals fills the columns straight from the slots; an instance
+    # built from the Vertex records it gives back is the same instance
+    inst = to_intervals(sched)
+    again = IntervalInstance(inst.vertices, inst.provenance)
+    assert (again.s, again.f, again.w) == (inst.s, inst.f, inst.w)
+    if inst.n:
+        assert solve_mwkc(again, k) == solve_mwkc(inst, k)

@@ -44,6 +44,11 @@ def _network(inst, k):
     return build_network(cs, inst, k)
 
 
+def _hand_built(r, k, arcs):
+    """A FlowNetwork from (tail, head, weight_N) triples, one column each."""
+    return FlowNetwork(r, k, [a[0] for a in arcs], [a[1] for a in arcs], [a[2] for a in arcs])
+
+
 def test_build_network_demo10(demo10):
     net = _network(demo10, 2)
     assert (net.r, net.k, net.node_count) == (6, 2, 7)
@@ -101,7 +106,7 @@ def test_transform_weights_demo10(demo10):
 
 
 def test_transform_weights_rejects_inconsistent_pi():
-    net = FlowNetwork(r=1, k=1, arcs=((0, 1, 0), (0, 1, 5)))
+    net = FlowNetwork(r=1, k=1, tail=[0, 0], head=[1, 1], weight=[0, 5])
     with pytest.raises(InternalInvariantViolation,
                        match=r"^arc 1: transformed weight -5 outside \[0, 0\]$"):
         transform_weights(net, [0, 0])  # pi ignores the weight-5 arc
@@ -109,7 +114,7 @@ def test_transform_weights_rejects_inconsistent_pi():
 
 def test_transform_weights_names_the_first_offender():
     # arc 0 lies above pi[0] and arc 1 below 0: the lower id is named
-    net = FlowNetwork(r=2, k=1, arcs=((0, 1, 0), (1, 2, 0), (0, 2, 1)))
+    net = FlowNetwork(r=2, k=1, tail=[0, 1, 0], head=[1, 2, 2], weight=[0, 0, 1])
     with pytest.raises(InternalInvariantViolation,
                        match=r"^arc 0: transformed weight 5 outside \[0, 3\]$"):
         transform_weights(net, [3, -2, 0])
@@ -134,7 +139,7 @@ def test_solve_k_flow_demo10(demo10):
     flow = check_flow_rounds(net, weight_u)
     assert flow == DEMO10_FLOW_K2
     cost_u = flow_cost(weight_u, flow)
-    weight_n = flow_cost([w for _, _, w in net.arcs], flow)
+    weight_n = flow_cost(net.weight, flow)
     assert cost_u == 6
     assert weight_n == 34
     assert weight_n + cost_u == 2 * pi[0]
@@ -147,7 +152,7 @@ def test_solve_k1_flow_has_zero_cost(demo10):
     weight_u = transform_weights(net, compute_pi(net))
     flow = solve_min_cost_k_flow(net, weight_u)
     assert flow_cost(weight_u, flow) == 0
-    assert flow_cost([w for _, _, w in net.arcs], flow) == 20
+    assert flow_cost(net.weight, flow) == 20
 
 
 def test_solve_mwkc_rejects_a_k1_flow_that_costs_more_than_0(demo10, monkeypatch):
@@ -229,9 +234,10 @@ def test_solve_k_flow_with_tails_falling_by_arc_id(k, expected):
      [10, 0, 5, 0, 0, 0], "arc 4 runs from node 2 to node 1, not forward"),
 ])
 def test_solve_k_flow_rejects_an_arc_that_does_not_point_forward(r, k, arcs, weight_u, message):
+    columns = ", ".join(repr([a[i] for a in arcs]) for i in range(3))
     code = ("from sessionpick import FlowNetwork, solve_min_cost_k_flow\n"
             "try:\n"
-            f"    solve_min_cost_k_flow(FlowNetwork({r}, {k}, {arcs!r}), {weight_u!r})\n"
+            f"    solve_min_cost_k_flow(FlowNetwork({r}, {k}, {columns}), {weight_u!r})\n"
             "except ValueError as exc:\n"
             "    print(exc)\n")
     src = Path(__file__).resolve().parent.parent / "src"
@@ -253,16 +259,22 @@ def test_solve_k_flow_rejects_an_arc_that_does_not_point_forward(r, k, arcs, wei
 ])
 def test_solve_k_flow_names_a_malformed_network(r, k, arcs, weight_u, message):
     with pytest.raises(ValueError) as info:
-        solve_min_cost_k_flow(FlowNetwork(r, k, arcs), weight_u)
+        solve_min_cost_k_flow(_hand_built(r, k, arcs), weight_u)
     assert str(info.value) == message
     # the IndexError that led to the arc scan stays out of the traceback
     assert info.value.__context__ is None or info.value.__suppress_context__
 
 
+def test_solve_k_flow_names_columns_of_unequal_length():
+    net = FlowNetwork(r=1, k=1, tail=[0, 0], head=[1], weight=[0, 5])
+    with pytest.raises(ValueError, match=r"^len\(net.head\) = 1, not len\(net.tail\) = 2$"):
+        solve_min_cost_k_flow(net, [0, 0])
+
+
 def test_solve_k_flow_unreachable_sink_is_invariant_violation():
     # the second c-arc points backwards, so no path reaches the sink (node 2);
     # the per-node reachability check reports it
-    net = FlowNetwork(r=2, k=1, arcs=((0, 1, 0), (2, 1, 0)))
+    net = FlowNetwork(r=2, k=1, tail=[0, 2], head=[1, 1], weight=[0, 0])
     with pytest.raises(InternalInvariantViolation, match="node 2 unreachable"):
         solve_min_cost_k_flow(net, [0, 0])
 
@@ -305,10 +317,10 @@ def test_extract_solution_demo10(demo10):
     assert sol.total_weight == 34
     assert sol.Q == frozenset({0, 1, 2, 4, 5, 8, 9})
     assert len(sol.classes) == 2
-    weights = [sum(demo10.vertices[v].w for v in cls) for cls in sol.classes]
+    weights = [sum(demo10.w[v] for v in cls) for cls in sol.classes]
     assert weights == sorted(weights, reverse=True)
     for cls in sol.classes:
-        starts = [demo10.vertices[v].s for v in cls]
+        starts = [demo10.s[v] for v in cls]
         assert starts == sorted(starts)
     assert not verify_solution(sol, demo10, 2).violations
 
@@ -375,8 +387,8 @@ def test_disconnected_instance_uses_all_classes_everywhere():
                           (100, 105, 4), (100, 105, 4), (100, 105, 4)])
     sol = solve_mwkc(inst, 2)
     assert sol.total_weight == 16
-    assert len([v for v in sol.Q if inst.vertices[v].s == 0]) == 2
-    assert len([v for v in sol.Q if inst.vertices[v].s == 100]) == 2
+    assert len([v for v in sol.Q if inst.s[v] == 0]) == 2
+    assert len([v for v in sol.Q if inst.s[v] == 100]) == 2
 
 
 def test_random_instances_match_oracle_with_validation():
